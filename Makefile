@@ -48,9 +48,9 @@ bench:
 	$(GO) run ./cmd/optimus-bench bench
 
 # bench-scale runs the simulator hot-path scaling benchmark (1M-request
-# trace, serial/scan vs indexed vs sharded, plus the constant-memory
-# streaming section at 10M requests) and leaves BENCH_sim_scale.json in the
-# repo root.
+# trace, serial/scan vs indexed, plus the constant-memory streaming section
+# at 10M requests and windowed vs serial streaming replay) and leaves
+# BENCH_sim_scale.json in the repo root.
 bench-scale:
 	$(GO) run ./cmd/optimus-bench -stream scale
 
@@ -94,13 +94,13 @@ benchguard:
 	$(GO) test -run 'TestBench' -bench 'BenchmarkPrecompute' -benchtime=1x ./internal/experiments
 
 # scaleguard validates the checked-in BENCH_sim_scale.json (indexed replay
-# must not be slower than the scan baseline, both equivalence checks must
-# hold) and replays a small-N scale smoke end to end.
+# must not be slower than the scan baseline, and its records must equal the
+# scan baseline's) and replays a small-N scale smoke end to end.
 scaleguard:
 	$(GO) test -run 'TestScale' ./internal/experiments
 
 # streamguard validates the streaming section of BENCH_sim_scale.json
-# (10M+-request point, allocs/req at or below the sharded path, peak heap
+# (10M+-request point, allocs/req at or below the indexed path, peak heap
 # within 1.5x of the 10x-smaller baseline, streaming==materialized and
 # windowed==serial equalities) and replays a streaming smoke end to end.
 streamguard:

@@ -36,7 +36,6 @@ func main() {
 		outDir  = flag.String("out", ".", "directory for the bench experiment's BENCH_*.json artifacts")
 		planWrk = flag.Int("plan-workers", 0, "parallel planning workers for the bench experiment (0 = GOMAXPROCS)")
 		scaleN  = flag.Int("scale-requests", 0, "trace size for the scale experiment (0 = 1M, or 50k with -quick)")
-		shards  = flag.Int("replay-shards", 0, "parallel replay workers for the scale experiment (0 = one per node group)")
 		stream  = flag.Bool("stream", false, "add the constant-memory streaming section to the scale experiment")
 		streamN = flag.Int("stream-requests", 0, "streaming replay size for scale -stream (0 = 10M, or 500k with -quick)")
 		windows = flag.Int("replay-windows", 0, "time windows for the windowed streaming replay (0 = 32)")
@@ -70,7 +69,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "experiments: fig2 fig3 fig4 fig5a fig5c fig8 fig11 fig12 fig13 fig14 fig15 fig16 table1")
 		fmt.Fprintln(os.Stderr, "ablations:   ablation-planner ablation-safeguard ablation-cache ablation-balancer ablation-idle ablation-online ablation-alloc sweep-nodes sweep-load chaos recovery")
 		fmt.Fprintln(os.Stderr, "baselines:   bench (emits BENCH_planner.json + BENCH_sim.json into -out)")
-		fmt.Fprintln(os.Stderr, "             scale (replays one trace serial/indexed/sharded; emits BENCH_sim_scale.json into -out)")
+		fmt.Fprintln(os.Stderr, "             scale (replays one trace scan/indexed, -stream adds streaming + windowed; emits BENCH_sim_scale.json into -out)")
 		fmt.Fprintln(os.Stderr, "             soak (chaos soak, baseline vs resilient; emits BENCH_soak.json into -out)")
 		fmt.Fprintln(os.Stderr, "             fanout (burst fan-out trees vs independent transforms; emits BENCH_fanout.json into -out)")
 		fmt.Fprintln(os.Stderr, "             gateway (multi-gateway scaling + shared-vs-isolated plan cache; emits BENCH_gateway.json into -out)")
@@ -212,9 +211,9 @@ func main() {
 			}
 			out, result = r.Render(), r
 		case "scale":
-			r := experiments.Scale(o, *scaleN, 0, *shards)
+			r := experiments.Scale(o, *scaleN, 0)
 			if *stream {
-				s := experiments.StreamScale(o, *streamN, 0, *windows, *shards)
+				s := experiments.StreamScale(o, *streamN, 0, *windows)
 				r.Stream = &s
 			}
 			if err := r.WriteFile(*outDir); err != nil {

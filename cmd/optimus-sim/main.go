@@ -42,7 +42,6 @@ func main() {
 		ctrMB      = flag.Int("container-memory-mb", 0, "fixed container grant; 0 with node memory = fine-grained (§6)")
 		online     = flag.Float64("online-profiling", 0, "EWMA rate for online profile refinement (§6)")
 		profErr    = flag.Float64("profiling-error", 0, "relative error injected into offline profiling")
-		failRate   = flag.Float64("transform-failures", 0, "inject this fraction of failed transformations (alias for -fault-transform)")
 		watchdog   = flag.Float64("watchdog", 0, "cancel transforms at this multiple of their planned cost (≤1 disables)")
 		brkN       = flag.Int("breaker-threshold", 0, "open a pair's circuit breaker after N consecutive transform failures (0 disables)")
 		brkCool    = flag.Duration("breaker-cooldown", 0, "open-breaker wait before a half-open probe (default 5m)")
@@ -52,7 +51,6 @@ func main() {
 		recovery   = flag.Bool("recovery", false, "run the supervised-recovery sweep (breaker/watchdog on vs off) and exit")
 		quick      = flag.Bool("quick", false, "shrink the -chaos/-recovery sweeps for fast runs")
 		perFn      = flag.Int("per-function", 0, "print per-function stats for the N slowest functions")
-		shards     = flag.Int("replay-shards", 1, "parallel replay workers when the placement partitions the cluster (0 = GOMAXPROCS, 1 = serial)")
 		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf    = flag.String("memprofile", "", "write a heap profile to this file on exit")
 		saveTrace  = flag.String("save-trace", "", "write the generated workload to this CSV file")
@@ -65,10 +63,6 @@ func main() {
 	rp := cliutil.RegisterReplayFlags(flag.CommandLine)
 	flag.Parse()
 
-	if err := cliutil.ValidateProbs(map[string]float64{"-transform-failures": *failRate}); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
 	if err := ff.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -124,7 +118,6 @@ func main() {
 		ContainerMemoryMB: *ctrMB,
 		OnlineProfiling:   *online,
 		ProfilingError:    *profErr,
-		TransformFailures: *failRate,
 		Faults:            ff.Rates(),
 		MaxRetries:        *maxRetries,
 		WatchdogFactor:    *watchdog,
@@ -234,11 +227,10 @@ func main() {
 	start := time.Now()
 	if rp.Streaming() {
 		// Streaming replay keeps no per-request records: the summary is
-		// mergeable aggregates plus sketched percentiles. -replay-shards
-		// doubles as the windowed-replay worker bound.
+		// mergeable aggregates plus sketched percentiles.
 		var srep *optimus.StreamReport
 		if w := *rp.Windows; w > 0 {
-			srep, err = sys.RunWindowed(trace, w, *shards)
+			srep, err = sys.RunWindowed(trace, w)
 		} else {
 			srep, err = sys.RunStream(trace)
 		}
@@ -268,22 +260,10 @@ func main() {
 		}
 		return
 	}
-	var rep *optimus.Report
-	if *shards == 1 {
-		rep, err = sys.Run(trace)
-	} else {
-		rep, err = sys.RunSharded(trace, *shards)
-	}
+	rep, err := sys.Run(trace)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "simulation failed:", err)
 		os.Exit(1)
-	}
-	if *shards != 1 {
-		if sh := rep.Sharding; sh.Sharded() {
-			fmt.Printf("sharded replay: %d shards on %d workers\n", sh.Shards, sh.Workers)
-		} else {
-			fmt.Printf("serial replay (%s)\n", sh.SerialReason)
-		}
 	}
 	fmt.Println(rep.Summary())
 	if fs := rep.FaultSummary(); fs != "" {

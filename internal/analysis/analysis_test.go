@@ -1,7 +1,9 @@
 package analysis
 
 import (
+	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -25,6 +27,40 @@ func TestMatchPattern(t *testing.T) {
 		if got := matchPattern(c.pat, c.rel); got != c.want {
 			t.Errorf("matchPattern(%q, %q) = %v, want %v", c.pat, c.rel, got, c.want)
 		}
+	}
+}
+
+// TestPackageDirsSkipsNestedModules: like the go tool's ./..., the loader
+// stops at a directory holding its own go.mod.
+func TestPackageDirsSkipsNestedModules(t *testing.T) {
+	root := t.TempDir()
+	files := map[string]string{
+		"go.mod":           "module m\n",
+		"a/a.go":           "package a\n",
+		"a/inner/inner.go": "package inner\n",
+		"nested/go.mod":    "module n\n",
+		"nested/nested.go": "package nested\n",
+		"nested/b/b.go":    "package b\n",
+	}
+	for name, src := range files {
+		path := filepath.Join(root, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dirs, err := NewLoader(root, "m").packageDirs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, d := range dirs {
+		got = append(got, d.rel)
+	}
+	if want := []string{"a", "a/inner"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("package dirs = %q, want %q", got, want)
 	}
 }
 

@@ -141,7 +141,9 @@ type pkgDir struct {
 }
 
 // packageDirs walks the module tree for directories holding at least one
-// non-test .go file, skipping VCS, testdata and hidden directories.
+// non-test .go file, skipping VCS, testdata and hidden directories and, as
+// the go tool's ./... does, nested modules (directories with their own
+// go.mod).
 func (l *Loader) packageDirs() ([]pkgDir, error) {
 	var out []pkgDir
 	err := filepath.WalkDir(l.root, func(path string, d os.DirEntry, err error) error {
@@ -154,6 +156,11 @@ func (l *Loader) packageDirs() ([]pkgDir, error) {
 		name := d.Name()
 		if path != l.root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
 			return filepath.SkipDir
+		}
+		if path != l.root {
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+				return filepath.SkipDir
+			}
 		}
 		has, err := hasGoFiles(path)
 		if err != nil {

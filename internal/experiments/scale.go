@@ -20,48 +20,36 @@ import (
 const BenchScaleFile = "BENCH_sim_scale.json"
 
 // ScaleBench is the simulator hot-path scaling benchmark: one synthetic
-// million-request trace on a sharded cluster replayed three ways —
+// million-request trace on a cluster of disjoint node groups replayed two
+// ways —
 //
 //   - serial/scan: the legacy O(nodes×containers) scanning router
 //     (Config.RouteScan), the pre-index engine baseline;
-//   - indexed: the incrementally-maintained routing index, serial replay;
-//   - sharded: the indexed engine with the trace split across the
-//     placement's disjoint node groups and replayed in parallel
-//     (simulate.RunSharded).
+//   - indexed: the incrementally-maintained routing index, serial replay.
 //
-// Wall times and speedups are machine-dependent; request counts, the
-// equality checks and allocation counts are reproducible.
+// Wall times and speedups are machine-dependent (GOMAXPROCS and NumCPU
+// record the machine); request counts, the equality checks and allocation
+// counts are reproducible.
 type ScaleBench struct {
-	Seed      int64 `json:"seed"`
-	Requests  int   `json:"requests"`
-	Functions int   `json:"functions"`
-	Nodes     int   `json:"nodes"`
-	Groups    int   `json:"groups"`
-	Workers   int   `json:"workers"`
-	// Shards is the shard count RunSharded planned; ShardSerialReason is
-	// non-empty if it fell back to serial replay.
-	Shards            int    `json:"shards"`
-	ShardSerialReason string `json:"shard_serial_reason,omitempty"`
+	Seed       int64 `json:"seed"`
+	Requests   int   `json:"requests"`
+	Functions  int   `json:"functions"`
+	Nodes      int   `json:"nodes"`
+	Groups     int   `json:"groups"`
+	GOMAXPROCS int   `json:"gomaxprocs"`
+	NumCPU     int   `json:"num_cpu"`
 
 	SerialMS  float64 `json:"serial_ms"`
 	IndexedMS float64 `json:"indexed_ms"`
-	ShardedMS float64 `json:"sharded_ms"`
-	// SpeedupIndexed = serial/indexed, SpeedupSharded = indexed/sharded,
-	// SpeedupTotal = serial/sharded (the ≥3× acceptance target).
+	// SpeedupIndexed = serial/indexed.
 	SpeedupIndexed float64 `json:"speedup_indexed"`
-	SpeedupSharded float64 `json:"speedup_sharded"`
-	SpeedupTotal   float64 `json:"speedup_total"`
 
 	SerialAllocsPerReq  float64 `json:"serial_allocs_per_req"`
 	IndexedAllocsPerReq float64 `json:"indexed_allocs_per_req"`
-	ShardedAllocsPerReq float64 `json:"sharded_allocs_per_req"`
 
 	// IndexedMatchesScan: the indexed replay's records are byte-identical to
-	// the scanning replay's. ShardedMatchesSerial: the shard-merged
-	// aggregates (count, mean, P50/P95/P99, kind counts, faults) equal the
-	// serial replay's.
-	IndexedMatchesScan   bool `json:"indexed_matches_scan"`
-	ShardedMatchesSerial bool `json:"sharded_matches_serial"`
+	// the scanning replay's.
+	IndexedMatchesScan bool `json:"indexed_matches_scan"`
 
 	// Stream, when present, is the constant-memory streaming replay section
 	// (`optimus-bench scale -stream`); see StreamScale.
@@ -175,56 +163,9 @@ func sameRecords(a, b *metrics.Collector) bool {
 	return true
 }
 
-// aggSnapshot captures the summary views a shard-merged collector must
-// reproduce exactly: counts, fault tallies, mean, latency percentiles and the
-// start-kind mix. Snapshotting lets the benchmark release a replay's
-// multi-hundred-MB record slice before timing the next one — keeping those
-// heaps alive inflates every subsequent run's GC cost.
-type aggSnapshot struct {
-	n      int
-	faults metrics.FaultStats
-	mean   time.Duration
-	pcts   [4]time.Duration
-	kinds  map[metrics.StartKind]int
-}
-
-var aggPcts = [4]float64{50, 95, 99, 100}
-
-func snapshotAggregates(c *metrics.Collector) aggSnapshot {
-	s := aggSnapshot{n: c.Len(), faults: c.Faults, mean: c.MeanLatency(), kinds: c.KindCounts()}
-	for i, p := range aggPcts {
-		s.pcts[i] = c.Percentile(p)
-	}
-	return s
-}
-
-// sameAggregates reports whether the collector reproduces the snapshot.
-func sameAggregates(want aggSnapshot, b *metrics.Collector) bool {
-	if want.n != b.Len() || want.faults != b.Faults || want.mean != b.MeanLatency() {
-		return false
-	}
-	for i, p := range aggPcts {
-		if want.pcts[i] != b.Percentile(p) {
-			return false
-		}
-	}
-	kb := b.KindCounts()
-	if len(want.kinds) != len(kb) {
-		return false
-	}
-	for k, v := range want.kinds {
-		if kb[k] != v {
-			return false
-		}
-	}
-	return true
-}
-
 // Scale runs the hot-path scaling benchmark. requests <= 0 defaults to one
-// million (50k in quick mode); groups <= 0 defaults to 8; workers <= 0
-// defaults to the shard count, so the parallel path is exercised even on a
-// single-core machine (where its wall-clock win is neutral by design).
-func Scale(o Options, requests, groups, workers int) ScaleBench {
+// million (50k in quick mode); groups <= 0 defaults to 8.
+func Scale(o Options, requests, groups int) ScaleBench {
 	o = o.withDefaults()
 	if requests <= 0 {
 		requests = 1_000_000
@@ -236,23 +177,20 @@ func Scale(o Options, requests, groups, workers int) ScaleBench {
 		groups = 8
 	}
 	fx := scaleCluster(o, requests, groups)
-	if workers <= 0 {
-		workers = groups
-	}
 	res := ScaleBench{
-		Seed:      o.Seed,
-		Requests:  fx.trace.Len(),
-		Functions: len(fx.fns),
-		Nodes:     fx.cfg.Nodes,
-		Groups:    groups,
-		Workers:   workers,
+		Seed:       o.Seed,
+		Requests:   fx.trace.Len(),
+		Functions:  len(fx.fns),
+		Nodes:      fx.cfg.Nodes,
+		Groups:     groups,
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		NumCPU:     runtime.NumCPU(),
 	}
 
-	// The three replays together allocate ~4 record slices of ~100 MB each at
-	// the million-request scale; with the default GOGC the collector heaps
+	// The two replays each retain a record slice of ~100 MB at the
+	// million-request scale; with the default GOGC the collector heaps
 	// trigger repeated full marks that tax whichever replay runs last. Relax
-	// GC during the benchmark and drop each replay's records as soon as the
-	// correctness checks are done with them.
+	// GC during the benchmark.
 	defer debug.SetGCPercent(debug.SetGCPercent(1000))
 
 	scanCfg := fx.cfg
@@ -272,32 +210,11 @@ func Scale(o Options, requests, groups, workers int) ScaleBench {
 		return col
 	})
 	res.IndexedMatchesScan = sameRecords(serial, indexed)
-	serialAgg := snapshotAggregates(serial)
-	serial, indexed = nil, nil
-
-	var report simulate.ShardReport
-	sharded, shardedMS, shardedAllocs := timedRun(res.Requests, func() *metrics.Collector {
-		col, rep, err := simulate.RunSharded(fx.cfg, fx.fns, fx.trace, workers)
-		if err != nil {
-			panic(err)
-		}
-		report = rep
-		return col
-	})
-
 	res.SerialMS, res.SerialAllocsPerReq = serialMS, serialAllocs
 	res.IndexedMS, res.IndexedAllocsPerReq = indexedMS, indexedAllocs
-	res.ShardedMS, res.ShardedAllocsPerReq = shardedMS, shardedAllocs
-	res.Shards = report.Shards
-	res.ShardSerialReason = report.SerialReason
 	if indexedMS > 0 {
 		res.SpeedupIndexed = serialMS / indexedMS
 	}
-	if shardedMS > 0 {
-		res.SpeedupSharded = indexedMS / shardedMS
-		res.SpeedupTotal = serialMS / shardedMS
-	}
-	res.ShardedMatchesSerial = sameAggregates(serialAgg, sharded)
 	return res
 }
 
@@ -317,29 +234,23 @@ func (r ScaleBench) WriteFile(dir string) error {
 	return nil
 }
 
+// okStr renders an equality check for the benchmark digests.
+func okStr(b bool) string {
+	if b {
+		return "ok"
+	}
+	return "MISMATCH"
+}
+
 // Render prints the benchmark digest.
 func (r ScaleBench) Render() string {
-	shard := fmt.Sprintf("%d shards", r.Shards)
-	if r.ShardSerialReason != "" {
-		shard = "serial: " + r.ShardSerialReason
-	}
-	okStr := func(b bool) string {
-		if b {
-			return "ok"
-		}
-		return "MISMATCH"
-	}
 	out := fmt.Sprintf(`Simulator scale benchmark (seed %d)
-%d requests, %d functions, %d nodes in %d groups (%s, %d workers)
+%d requests, %d functions, %d nodes in %d groups (GOMAXPROCS %d, %d CPUs)
   serial/scan  %8.1f ms   %6.1f allocs/req
-  indexed      %8.1f ms   %6.1f allocs/req   (%.2fx vs scan, records %s)
-  sharded      %8.1f ms   %6.1f allocs/req   (%.2fx vs indexed, aggregates %s)
-  total speedup %.2fx`,
-		r.Seed, r.Requests, r.Functions, r.Nodes, r.Groups, shard, r.Workers,
+  indexed      %8.1f ms   %6.1f allocs/req   (%.2fx vs scan, records %s)`,
+		r.Seed, r.Requests, r.Functions, r.Nodes, r.Groups, r.GOMAXPROCS, r.NumCPU,
 		r.SerialMS, r.SerialAllocsPerReq,
-		r.IndexedMS, r.IndexedAllocsPerReq, r.SpeedupIndexed, okStr(r.IndexedMatchesScan),
-		r.ShardedMS, r.ShardedAllocsPerReq, r.SpeedupSharded, okStr(r.ShardedMatchesSerial),
-		r.SpeedupTotal)
+		r.IndexedMS, r.IndexedAllocsPerReq, r.SpeedupIndexed, okStr(r.IndexedMatchesScan))
 	if r.Stream != nil {
 		out += "\n" + r.Stream.Render()
 	}

@@ -8,25 +8,16 @@ import (
 )
 
 // TestScaleSmoke runs the scale benchmark at a tiny request count and checks
-// the invariants that must hold at any scale: both equality proofs pass, the
-// replay is sharded (the placement is built to partition), and the indexed
-// engine allocates less per request than the scanning baseline.
+// the invariants that must hold at any scale: the indexed replay's records
+// equal the scanning baseline's, and the indexed engine allocates less per
+// request than the scanning baseline.
 func TestScaleSmoke(t *testing.T) {
-	res := Scale(Options{Quick: true, Seed: 5}, 4000, 4, 2)
+	res := Scale(Options{Quick: true, Seed: 5}, 4000, 4)
 	if res.Requests == 0 {
 		t.Fatal("empty trace")
 	}
 	if !res.IndexedMatchesScan {
 		t.Error("indexed replay diverged from the scanning baseline")
-	}
-	if !res.ShardedMatchesSerial {
-		t.Error("shard-merged aggregates diverged from serial")
-	}
-	if res.ShardSerialReason != "" {
-		t.Errorf("expected sharded replay, fell back serially: %s", res.ShardSerialReason)
-	}
-	if res.Shards != 4 {
-		t.Errorf("expected 4 shards, got %d", res.Shards)
 	}
 	if res.IndexedAllocsPerReq >= res.SerialAllocsPerReq {
 		t.Errorf("indexed allocs/req %.1f not below scan baseline %.1f",
@@ -35,10 +26,8 @@ func TestScaleSmoke(t *testing.T) {
 }
 
 // TestScaleArtifactGuard validates the checked-in BENCH_sim_scale.json: the
-// required keys are present, both equality proofs passed when it was
+// required keys are present, the equality proof passed when it was
 // generated, and the indexed engine was not slower than the scan baseline.
-// (The ≥3× total-speedup acceptance bar is asserted at generation time; a
-// CI runner's wall clock is too noisy to re-enforce it here.)
 func TestScaleArtifactGuard(t *testing.T) {
 	path := filepath.Join("..", "..", BenchScaleFile)
 	data, err := os.ReadFile(path)
@@ -50,10 +39,8 @@ func TestScaleArtifactGuard(t *testing.T) {
 		t.Fatalf("artifact is not valid JSON: %v", err)
 	}
 	for _, k := range []string{
-		"requests", "serial_ms", "indexed_ms", "sharded_ms",
-		"speedup_indexed", "speedup_sharded", "speedup_total",
-		"serial_allocs_per_req", "indexed_allocs_per_req", "sharded_allocs_per_req",
-		"indexed_matches_scan", "sharded_matches_serial", "shards",
+		"requests", "gomaxprocs", "num_cpu", "serial_ms", "indexed_ms", "speedup_indexed",
+		"serial_allocs_per_req", "indexed_allocs_per_req", "indexed_matches_scan",
 	} {
 		if _, ok := keys[k]; !ok {
 			t.Errorf("artifact missing key %q", k)
@@ -66,16 +53,10 @@ func TestScaleArtifactGuard(t *testing.T) {
 	if !res.IndexedMatchesScan {
 		t.Error("artifact records an indexed/scan divergence")
 	}
-	if !res.ShardedMatchesSerial {
-		t.Error("artifact records a sharded/serial aggregate divergence")
-	}
 	if res.SpeedupIndexed < 1.0 {
 		t.Errorf("indexed replay slower than the scan baseline: %.2fx", res.SpeedupIndexed)
 	}
 	if res.Requests < 500_000 {
 		t.Errorf("artifact generated from only %d requests; want >= 500000", res.Requests)
-	}
-	if res.ShardSerialReason != "" {
-		t.Errorf("artifact benchmark fell back to serial: %s", res.ShardSerialReason)
 	}
 }

@@ -48,6 +48,10 @@ func TestAsyncPlanningStress(t *testing.T) {
 	)
 	var wg sync.WaitGroup
 	errs := make(chan error, workers*iters)
+	// failed closes on the first worker error so invokers waiting on a model
+	// that will now never register stop instead of hanging the test.
+	failed := make(chan struct{})
+	var failOnce sync.Once
 	do := func(f func(i int) error) {
 		wg.Add(1)
 		go func() {
@@ -55,15 +59,28 @@ func TestAsyncPlanningStress(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				if err := f(i); err != nil {
 					errs <- err
+					failOnce.Do(func() { close(failed) })
 					return
 				}
 			}
 		}()
 	}
 
+	// registered[m] closes when fixed[m]'s first registration succeeds. A
+	// duplicate rejection does not count: it can return before the winning
+	// registration has added the function to the serving path.
+	registered := make([]chan struct{}, len(fixed))
+	for m := range registered {
+		registered[m] = make(chan struct{})
+	}
 	for w := 0; w < 2; w++ {
 		do(func(i int) error { // racing (mostly duplicate) registrations
-			if err := g.RegisterModel(fixed[i%len(fixed)]); err != nil && !errors.Is(err, ErrDuplicateModel) {
+			m := i % len(fixed)
+			err := g.RegisterModel(fixed[m])
+			switch {
+			case err == nil: // fixed models never unregister: one success each
+				close(registered[m])
+			case !errors.Is(err, ErrDuplicateModel):
 				return err
 			}
 			return nil
@@ -81,7 +98,13 @@ func TestAsyncPlanningStress(t *testing.T) {
 	for w := 0; w < 2; w++ {
 		do(func(i int) error { // invokers: the transform path plans inline
 			// when it beats the pipeline, through the same cache
-			raw, _ := json.Marshal(map[string]string{"model": fixed[i%len(fixed)].Name})
+			m := i % len(fixed)
+			select {
+			case <-registered[m]: // invoking earlier would 404
+			case <-failed:
+				return nil
+			}
+			raw, _ := json.Marshal(map[string]string{"model": fixed[m].Name})
 			resp, err := http.Post(srv.URL+"/api/invoke", "application/json", bytes.NewReader(raw))
 			if err != nil {
 				return err

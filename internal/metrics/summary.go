@@ -10,7 +10,7 @@ import "time"
 //
 // Summary holds no pointers, so two summaries compare with == — the
 // equality the streaming-vs-materialized and windowed-vs-serial oracles
-// rely on — and shard summaries combine in O(buckets) via Merge.
+// rely on — and partial summaries combine in O(buckets) via Merge.
 type Summary struct {
 	// Latency sketches the end-to-end latency distribution (exact count,
 	// total and max; bounded-error intermediate quantiles).
@@ -43,7 +43,7 @@ func (s *Summary) Observe(r Record) {
 
 // Merge folds another summary into s: all counters add, the latency sketches
 // merge cell-wise, and the fault/fan-out tallies merge by their own rules.
-// Merging shard summaries equals summarizing the concatenated record stream.
+// Merging partial summaries equals summarizing the concatenated record stream.
 func (s *Summary) Merge(o *Summary) {
 	s.Latency.Merge(&o.Latency)
 	s.Wait += o.Wait

@@ -60,14 +60,6 @@ type Config struct {
 	// set sizes containers to their models (fine-grained, §6).
 	NodeMemoryMB      int
 	ContainerMemoryMB int
-	// TransformFailureRate injects faults: the given fraction of
-	// transformations fail halfway and recover by loading the destination
-	// model from scratch in the same container. Exercises the robustness of
-	// the recovery path; zero (default) disables injection.
-	//
-	// Deprecated: set Faults.Transform instead; this field is folded into
-	// it and kept for callers of the original single-fault API.
-	TransformFailureRate float64
 	// Faults configures deterministic multi-event fault injection
 	// (transform aborts, failed loads, container crashes, node outages);
 	// see package faults. The zero value disables injection, leaving the
@@ -167,9 +159,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Profile == nil {
 		c.Profile = cost.CPU()
-	}
-	if c.TransformFailureRate > 0 && c.Faults.Transform == 0 {
-		c.Faults.Transform = c.TransformFailureRate
 	}
 	switch {
 	case c.MaxRetries == 0:
@@ -434,20 +423,23 @@ func (s *Simulator) Env() *Env { return s.env }
 // Collector returns the accumulated request metrics.
 func (s *Simulator) Collector() *metrics.Collector { return &s.collector }
 
+// arrival is one trace request resolved to its function runtime.
+type arrival struct {
+	at time.Duration
+	fr *fnRuntime
+}
+
 // Run replays the trace to completion and returns the collected metrics.
 // Unknown function names in the trace are an error.
 //
 // Arrivals are not pushed onto the event heap: the trace is resolved and
-// time-sorted upfront, then stream-merged with engine events, keeping the
-// heap sized by in-flight work instead of trace length. Ordering matches the
-// previous all-in-one heap exactly: at equal timestamps arrivals fire before
-// engine events (arrivals held the lower sequence numbers), arrivals keep
-// trace order (stable sort), and engine events keep scheduling order.
+// time-sorted upfront, then stream-merged with engine events by runWindow,
+// keeping the heap sized by in-flight work instead of trace length. Ordering
+// matches the previous all-in-one heap exactly: at equal timestamps arrivals
+// fire before engine events (arrivals held the lower sequence numbers),
+// arrivals keep trace order (stable sort), and engine events keep scheduling
+// order.
 func (s *Simulator) Run(trace *workload.Trace) (*metrics.Collector, error) {
-	type arrival struct {
-		at time.Duration
-		fr *fnRuntime
-	}
 	arrivals := make([]arrival, len(trace.Requests))
 	inOrder := true
 	for i, r := range trace.Requests {
@@ -467,23 +459,34 @@ func (s *Simulator) Run(trace *workload.Trace) (*metrics.Collector, error) {
 		s.enableIndex()
 	}
 	s.collector.Reserve(s.collector.Len() + len(arrivals))
-	next := 0
-	for next < len(arrivals) || len(s.events) > 0 {
-		if next < len(arrivals) && (len(s.events) == 0 || arrivals[next].at <= s.events[0].at) {
-			a := arrivals[next]
-			next++
-			s.clock = a.at
-			s.arrive(a.fr, a.at)
-			continue
-		}
-		s.step(s.events.pop())
-	}
+	s.runWindow(arrivals, 0, true)
 	// Trees that never reached their target (capacity-starved, donors all
 	// lost, or the trace simply ended) still report what they did.
 	for _, run := range s.fanoutLog {
 		s.mergeFanout(run)
 	}
 	return &s.collector, nil
+}
+
+// runWindow replays time-sorted arrivals merged with pending events, firing
+// events strictly before limit (arrivals first at equal timestamps); final
+// drains the event heap completely. Run is one final window over the whole
+// trace; RunWindowed calls it per window and per partition worker.
+func (s *Simulator) runWindow(arr []arrival, limit time.Duration, final bool) {
+	next := 0
+	for next < len(arr) || len(s.events) > 0 {
+		if next < len(arr) && (len(s.events) == 0 || arr[next].at <= s.events[0].at) {
+			a := arr[next]
+			next++
+			s.clock = a.at
+			s.arrive(a.fr, a.at)
+			continue
+		}
+		if !final && s.events[0].at >= limit {
+			return
+		}
+		s.step(s.events.pop())
+	}
 }
 
 // step advances the clock to the event and fires it.

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/cost"
+	"repro/internal/faults"
 	"repro/internal/metrics"
 	"repro/internal/policy"
 	"repro/internal/simulate"
@@ -388,19 +389,19 @@ func TestHashAndSpreadPlacement(t *testing.T) {
 	}
 }
 
-// TestTransformFailureInjection exercises the fault-recovery path: failed
+// TestTransformFaultInjection exercises the fault-recovery path: failed
 // transformations cost the aborted attempt plus a fresh load, never a hang.
-func TestTransformFailureInjection(t *testing.T) {
+func TestTransformFaultInjection(t *testing.T) {
 	names := []string{"resnet18-imagenet", "resnet34-imagenet", "resnet50-imagenet", "vgg16-imagenet"}
 	fns := testFunctions(t, names...)
 	tr := workload.MixedPoisson(names, 12*time.Hour, 11)
 
 	run := func(rate float64) (*metrics.Collector, *simulate.Simulator) {
 		sim := simulate.New(simulate.Config{
-			Policy:               policy.Optimus{},
-			Nodes:                1,
-			ContainersPerNode:    2,
-			TransformFailureRate: rate,
+			Policy:            policy.Optimus{},
+			Nodes:             1,
+			ContainersPerNode: 2,
+			Faults:            faults.Rates{Transform: rate},
 		}, fns)
 		col, err := sim.Run(tr)
 		if err != nil {

@@ -71,28 +71,6 @@ func TestTransformFaultFallsBack(t *testing.T) {
 	}
 }
 
-// TestLegacyRateFoldsIntoInjector: the deprecated TransformFailureRate knob
-// must behave exactly like Faults.Transform so old callers see no change.
-func TestLegacyRateFoldsIntoInjector(t *testing.T) {
-	fns, tr := chaosTrace(t)
-	run := func(cfg simulate.Config) *metrics.Collector {
-		cfg.Policy = policy.Optimus{}
-		cfg.Nodes = 1
-		cfg.ContainersPerNode = 2
-		col, err := simulate.New(cfg, fns).Run(tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return col
-	}
-	old := run(simulate.Config{TransformFailureRate: 0.5})
-	fresh := run(simulate.Config{Faults: faults.Rates{Transform: 0.5}})
-	if old.MeanLatency() != fresh.MeanLatency() || !reflect.DeepEqual(old.Faults, fresh.Faults) {
-		t.Errorf("legacy knob diverged: %v/%+v vs %v/%+v",
-			old.MeanLatency(), old.Faults, fresh.MeanLatency(), fresh.Faults)
-	}
-}
-
 func TestLoadFaultSlowsColdStarts(t *testing.T) {
 	fns, tr := chaosTrace(t)
 	run := func(r float64) *metrics.Collector {

@@ -18,10 +18,10 @@ import (
 // Functions in different partitions cannot observe each other's state within
 // the window — routing, queueing, repurposing and completions all stay on a
 // partition's own nodes — so the partitions replay concurrently on workers
-// sharing the real cluster state with disjoint write sets. Unlike RunSharded
-// this needs no globally disjoint placement: overlap only costs parallelism
-// in the windows where the overlapping functions are simultaneously active,
-// which are detected at the window boundary and replayed serially on the
+// sharing the real cluster state with disjoint write sets. No globally
+// disjoint placement is needed: overlap only costs parallelism in the
+// windows where the overlapping functions are simultaneously active, which
+// are detected at the window boundary and replayed serially on the
 // authoritative engine.
 //
 // Why a window partition is exact, not just race-free:
@@ -71,13 +71,6 @@ type WindowReport struct {
 // Windowed reports whether the replay actually ran the windowed engine.
 func (r WindowReport) Windowed() bool { return r.SerialReason == "" }
 
-// windowArrival is one buffered in-window request, resolved once.
-type windowArrival struct {
-	at   time.Duration
-	fr   *fnRuntime
-	name string
-}
-
 // windowCorruptHook, when non-nil, runs after each parallel partition worker
 // finishes its window, before results merge — a test-only seam that lets the
 // oracle-divergence tests corrupt one partition's state and prove the
@@ -85,9 +78,9 @@ type windowArrival struct {
 var windowCorruptHook func(window, group int, w *Simulator)
 
 // windowSerialReason names the coupling that forces RunWindowed onto the
-// serial streaming path, or "" when windowed replay is sound. The couplings
-// are exactly planShards': each makes request outcomes depend on global
-// order, not just per-partition order.
+// serial streaming path, or "" when windowed replay is sound. Each coupling
+// makes request outcomes depend on global order, not just per-partition
+// order.
 func windowSerialReason(cfg Config, windows, workers int) string {
 	switch {
 	case cfg.Faults.Enabled():
@@ -130,26 +123,6 @@ func (s *Simulator) forkWorker() *Simulator {
 		health:   s.health,
 		backoff:  s.backoff,
 		hedger:   s.hedger,
-	}
-}
-
-// runWindow replays buffered arrivals merged with pending events, firing
-// events strictly before limit (arrivals first at equal timestamps, like
-// Run); final drains the event heap completely.
-func (s *Simulator) runWindow(arr []windowArrival, limit time.Duration, final bool) {
-	next := 0
-	for next < len(arr) || len(s.events) > 0 {
-		if next < len(arr) && (len(s.events) == 0 || arr[next].at <= s.events[0].at) {
-			a := arr[next]
-			next++
-			s.clock = a.at
-			s.arrive(a.fr, a.at)
-			continue
-		}
-		if !final && s.events[0].at >= limit {
-			return
-		}
-		s.step(s.events.pop())
 	}
 }
 
@@ -248,7 +221,7 @@ func RunWindowed(cfg Config, fns []*Function, src workload.Cursor, duration time
 
 	pending, ok := src.Next()
 	var last time.Duration
-	var arr []windowArrival
+	var arr []arrival
 	sLast, oLast := 0, 0 // collector high-water marks (cross-check mode)
 	for wi := 0; wi < windows && ok; wi++ {
 		final := wi == windows-1
@@ -263,7 +236,7 @@ func RunWindowed(cfg Config, fns []*Function, src workload.Cursor, duration time
 			if !known {
 				return nil, report, fmt.Errorf("simulate: trace references unknown function %q", pending.Function)
 			}
-			arr = append(arr, windowArrival{at: pending.At, fr: s.rt(fn), name: pending.Function})
+			arr = append(arr, arrival{at: pending.At, fr: s.rt(fn)})
 			pending, ok = src.Next()
 		}
 		if len(arr) == 0 {
@@ -284,9 +257,9 @@ func RunWindowed(cfg Config, fns []*Function, src workload.Cursor, duration time
 		}
 
 		if crossCheck {
-			oArr := make([]windowArrival, len(arr))
+			oArr := make([]arrival, len(arr))
 			for i, a := range arr {
-				oArr[i] = windowArrival{at: a.at, fr: oracle.rt(oracle.fns[a.name]), name: a.name}
+				oArr[i] = arrival{at: a.at, fr: oracle.rt(oracle.fns[a.fr.fn.Name])}
 			}
 			oracle.runWindow(oArr, end, final)
 			gotRecs := s.collector.Records()[sLast:]
@@ -317,7 +290,7 @@ func RunWindowed(cfg Config, fns []*Function, src workload.Cursor, duration time
 // candidate nodes and labels each node with its partition, ordered by the
 // smallest node ID each partition touches. Nodes no active function can
 // reach stay at -1: their pending events defer to a later window.
-func windowPartition(s *Simulator, arr []windowArrival) (groups int, nodeGroup []int) {
+func windowPartition(s *Simulator, arr []arrival) (groups int, nodeGroup []int) {
 	parent := make([]int, len(s.nodes))
 	for i := range parent {
 		parent[i] = i
@@ -386,7 +359,7 @@ func windowPartition(s *Simulator, arr []windowArrival) (groups int, nodeGroup [
 
 // runWindowParallel replays one window across partition workers and merges
 // the results back deterministically (partitions in min-node order).
-func (s *Simulator) runWindowParallel(arr []windowArrival, end time.Duration, final bool, groups int, nodeGroup []int, workers, wi int, crossCheck bool, sum *metrics.Summary) {
+func (s *Simulator) runWindowParallel(arr []arrival, end time.Duration, final bool, groups int, nodeGroup []int, workers, wi int, crossCheck bool, sum *metrics.Summary) {
 	// Partition pending events by owning node; events on unowned nodes (or
 	// of kinds the partition argument doesn't cover — impossible under the
 	// preconditions, but guarded) defer to a later window.
@@ -404,7 +377,7 @@ func (s *Simulator) runWindowParallel(arr []windowArrival, end time.Duration, fi
 		}
 		perGroupEvents[g] = append(perGroupEvents[g], ev)
 	}
-	perGroupArr := make([][]windowArrival, groups)
+	perGroupArr := make([][]arrival, groups)
 	for _, a := range arr {
 		g := nodeGroup[a.fr.cands[0].ID]
 		perGroupArr[g] = append(perGroupArr[g], a)

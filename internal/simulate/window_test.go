@@ -9,18 +9,44 @@ import (
 	"repro/internal/faults"
 	"repro/internal/health"
 	"repro/internal/metrics"
+	"repro/internal/model"
+	"repro/internal/planner"
 	"repro/internal/policy"
 	"repro/internal/simulate"
 	"repro/internal/workload"
 )
 
+// overlapNames are the eight functions overlapRates places.
+var overlapNames = []string{
+	"resnet18-imagenet", "resnet34-imagenet", "resnet50-imagenet", "vgg16-imagenet",
+	"vgg19-imagenet", "densenet121-imagenet", "densenet169-imagenet", "mobilenet-w1-imagenet",
+}
+
+// tinyFunctions builds functions over small chain models that stay within
+// the brute-force planner's factorial limit (the zoo models are far too
+// large for it). Names reuse overlapNames so overlapRates' placement applies.
+func tinyFunctions() []*simulate.Function {
+	out := make([]*simulate.Function, len(overlapNames))
+	for i, name := range overlapNames {
+		b := model.NewBuilder(name, "tiny", "t")
+		// Vary depth and widths so different pairs transform differently.
+		b.Conv("c1", 3, 8, 8+i, 1)
+		b.ReLU("r1", 8+i)
+		if i%2 == 0 {
+			b.Conv("c2", 1, 8+i, 8, 1)
+		}
+		out[i] = &simulate.Function{Name: name, Model: b.Graph()}
+	}
+	return out
+}
+
 // overlapRates places eight functions on two would-be groups ({0,1} and
 // {2,3}) plus one rare "bridge" function spanning {1,2}, which connects the
-// groups into a single component: RunSharded must refuse this placement, and
+// groups into a single component: no whole-run partition exists, and
 // windowed replay parallelizes exactly the windows where the bridge is
 // inactive.
 func overlapRates() (names []string, rates map[string]float64, placement map[string][]int) {
-	names = append([]string(nil), shardedNames...)
+	names = append([]string(nil), overlapNames...)
 	placement = map[string][]int{}
 	rates = map[string]float64{}
 	for i, n := range names {
@@ -89,46 +115,108 @@ func TestRunStreamMatchesRun(t *testing.T) {
 }
 
 // TestWindowedMatchesSerial is the optimistic-parallelism equivalence proof:
-// on a placement RunSharded refuses (one connected component via the bridge
-// function), windowed replay must still split most windows into independent
-// partitions and produce a summary byte-identical to the serial engine's.
+// on a placement with one connected component (via the bridge function),
+// windowed replay must still split most windows into independent partitions
+// and produce a summary byte-identical to the serial engine's, under every
+// planner algorithm. Run with -race: the partition workers share cluster
+// state.
 func TestWindowedMatchesSerial(t *testing.T) {
 	names, rates, _ := overlapRates()
-	fns := testFunctions(t, names...)
-	cfg := overlapConfig()
+	zooFns := testFunctions(t, names...)
 	dur := 6 * time.Hour
+	for _, algo := range []planner.Algorithm{planner.AlgoGroup, planner.AlgoHungarian, planner.AlgoBrute} {
+		algo := algo
+		t.Run(algo.String(), func(t *testing.T) {
+			fns := zooFns
+			if algo == planner.AlgoBrute {
+				fns = tinyFunctions() // brute needs tiny cost matrices
+			}
+			cfg := overlapConfig()
+			cfg.PlannerAlgo = algo
+			serial, err := simulate.New(cfg, fns).RunStream(workload.StreamPoissonRates(rates, dur, 23))
+			if err != nil {
+				t.Fatal(err)
+			}
+			win, rep, err := simulate.RunWindowed(cfg, fns, workload.StreamPoissonRates(rates, dur, 23), dur, 32, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rep.Windowed() {
+				t.Fatalf("expected windowed run, got serial: %q", rep.SerialReason)
+			}
+			if rep.ParallelWindows == 0 {
+				t.Fatalf("no window parallelized: %+v", rep)
+			}
+			if rep.ConflictWindows == 0 {
+				t.Fatalf("bridge function never forced a conflict window: %+v", rep)
+			}
+			if rep.MaxGroups < 2 {
+				t.Fatalf("MaxGroups = %d, want >= 2", rep.MaxGroups)
+			}
+			if *win != *serial {
+				t.Fatalf("windowed summary != serial summary:\nwindowed count=%d mean=%v p99=%v hit=%v\nserial   count=%d mean=%v p99=%v hit=%v\nreport %+v",
+					win.Count(), win.MeanLatency(), win.Percentile(99), win.HitRatio(),
+					serial.Count(), serial.MeanLatency(), serial.Percentile(99), serial.HitRatio(), rep)
+			}
+		})
+	}
+}
 
-	tr := workload.PoissonRates(rates, dur, 23)
-	if _, rep, err := simulate.RunSharded(cfg, fns, tr, 4); err != nil {
-		t.Fatal(err)
-	} else if rep.Sharded() {
-		t.Fatal("placement unexpectedly shardable; the windowed test needs a connected component")
+// TestShardDeterminism pins windowed replay on a placement that splits into
+// two disjoint node groups ({0,1} and {2,3}) with no bridge function: no
+// window may conflict, and for a fixed seed, under every planner algorithm,
+// the windowed summary (kind counts, latency digest, fault tallies) is
+// byte-identical to the serial Run's. Run with -race: it also exercises the
+// concurrent partition workers.
+func TestShardDeterminism(t *testing.T) {
+	placement := map[string][]int{}
+	for i, n := range overlapNames {
+		if i < 4 {
+			placement[n] = []int{0, 1}
+		} else {
+			placement[n] = []int{2, 3}
+		}
 	}
-
-	serial, err := simulate.New(cfg, fns).RunStream(workload.StreamPoissonRates(rates, dur, 23))
-	if err != nil {
-		t.Fatal(err)
-	}
-	win, rep, err := simulate.RunWindowed(cfg, fns, workload.StreamPoissonRates(rates, dur, 23), dur, 32, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Windowed() {
-		t.Fatalf("expected windowed run, got serial: %q", rep.SerialReason)
-	}
-	if rep.ParallelWindows == 0 {
-		t.Fatalf("no window parallelized: %+v", rep)
-	}
-	if rep.ConflictWindows == 0 {
-		t.Fatalf("bridge function never forced a conflict window: %+v", rep)
-	}
-	if rep.MaxGroups < 2 {
-		t.Fatalf("MaxGroups = %d, want >= 2", rep.MaxGroups)
-	}
-	if *win != *serial {
-		t.Fatalf("windowed summary != serial summary:\nwindowed count=%d mean=%v p99=%v hit=%v\nserial   count=%d mean=%v p99=%v hit=%v\nreport %+v",
-			win.Count(), win.MeanLatency(), win.Percentile(99), win.HitRatio(),
-			serial.Count(), serial.MeanLatency(), serial.Percentile(99), serial.HitRatio(), rep)
+	zooFns := testFunctions(t, overlapNames...)
+	dur := 12 * time.Hour
+	tr := workload.MixedPoisson(overlapNames, dur, 23)
+	for _, algo := range []planner.Algorithm{planner.AlgoGroup, planner.AlgoHungarian, planner.AlgoBrute} {
+		algo := algo
+		t.Run(algo.String(), func(t *testing.T) {
+			fns := zooFns
+			if algo == planner.AlgoBrute {
+				fns = tinyFunctions() // brute needs tiny cost matrices
+			}
+			cfg := simulate.Config{
+				Policy: policy.Optimus{}, Nodes: 4, ContainersPerNode: 3,
+				Placement:   placement,
+				PlannerAlgo: algo,
+				Seed:        11,
+			}
+			col, err := simulate.New(cfg, fns).Run(tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			serial := metrics.SummaryOf(col)
+			win, rep, err := simulate.RunWindowed(cfg, fns, tr.Cursor(), dur, 32, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rep.Windowed() {
+				t.Fatalf("expected windowed run, got serial: %q", rep.SerialReason)
+			}
+			if rep.ConflictWindows != 0 {
+				t.Fatalf("disjoint groups produced %d conflict windows: %+v", rep.ConflictWindows, rep)
+			}
+			if rep.ParallelWindows == 0 || rep.MaxGroups != 2 {
+				t.Fatalf("expected parallel windows over 2 groups: %+v", rep)
+			}
+			if *win != *serial {
+				t.Fatalf("windowed summary != serial summary:\nwindowed count=%d mean=%v p99=%v\nserial   count=%d mean=%v p99=%v",
+					win.Count(), win.MeanLatency(), win.Percentile(99),
+					serial.Count(), serial.MeanLatency(), serial.Percentile(99))
+			}
+		})
 	}
 }
 

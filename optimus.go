@@ -250,12 +250,6 @@ type SystemConfig struct {
 	// Limitation 1).
 	NodeMemoryMB      int
 	ContainerMemoryMB int
-	// TransformFailures injects faults: this fraction of transformations
-	// fail halfway and recover by loading from scratch.
-	//
-	// Deprecated: set Faults.Transform instead; kept for the original
-	// single-fault API.
-	TransformFailures float64
 	// Faults configures deterministic multi-event fault injection; see
 	// the "Failure model & degradation" section of DESIGN.md.
 	Faults FaultRates
@@ -359,24 +353,23 @@ func (s *System) simConfig(trace *Trace) (simulate.Config, error) {
 		placement = simulate.HashPlacement(names, nodes)
 	}
 	return simulate.Config{
-		Nodes:                nodes,
-		ContainersPerNode:    s.cfg.ContainersPerNode,
-		KeepAlive:            s.cfg.KeepAlive,
-		IdleThreshold:        s.cfg.IdleThreshold,
-		Profile:              s.cfg.Hardware.profile(),
-		Policy:               pol,
-		Placement:            placement,
-		Seed:                 s.cfg.Seed,
-		VerifyTransforms:     s.cfg.VerifyTransforms,
-		EstimatorErr:         s.cfg.ProfilingError,
-		OnlineProfiling:      s.cfg.OnlineProfiling,
-		NodeMemoryMB:         s.cfg.NodeMemoryMB,
-		ContainerMemoryMB:    s.cfg.ContainerMemoryMB,
-		TransformFailureRate: s.cfg.TransformFailures,
-		Faults:               s.cfg.Faults,
-		MaxRetries:           s.cfg.MaxRetries,
-		OutageDuration:       s.cfg.OutageDuration,
-		WatchdogFactor:       s.cfg.WatchdogFactor,
+		Nodes:             nodes,
+		ContainersPerNode: s.cfg.ContainersPerNode,
+		KeepAlive:         s.cfg.KeepAlive,
+		IdleThreshold:     s.cfg.IdleThreshold,
+		Profile:           s.cfg.Hardware.profile(),
+		Policy:            pol,
+		Placement:         placement,
+		Seed:              s.cfg.Seed,
+		VerifyTransforms:  s.cfg.VerifyTransforms,
+		EstimatorErr:      s.cfg.ProfilingError,
+		OnlineProfiling:   s.cfg.OnlineProfiling,
+		NodeMemoryMB:      s.cfg.NodeMemoryMB,
+		ContainerMemoryMB: s.cfg.ContainerMemoryMB,
+		Faults:            s.cfg.Faults,
+		MaxRetries:        s.cfg.MaxRetries,
+		OutageDuration:    s.cfg.OutageDuration,
+		WatchdogFactor:    s.cfg.WatchdogFactor,
 		Breaker: supervisor.BreakerConfig{
 			Threshold: s.cfg.BreakerThreshold,
 			Cooldown:  s.cfg.BreakerCooldown,
@@ -407,29 +400,6 @@ func (s *System) Run(trace *Trace) (*Report, error) {
 	}, nil
 }
 
-// RunSharded replays the trace like Run but splits it across the placement's
-// disjoint node groups and replays the groups in parallel on up to `workers`
-// goroutines (0 means GOMAXPROCS, 1 forces serial) — see simulate.RunSharded.
-// Aggregate results are identical to Run's; when sharding would change
-// results (overlapping placement, fault injection, online profiling) the
-// replay silently falls back to serial and Report.Sharding says why.
-func (s *System) RunSharded(trace *Trace, workers int) (*Report, error) {
-	cfg, err := s.simConfig(trace)
-	if err != nil {
-		return nil, err
-	}
-	col, rep, err := simulate.RunSharded(cfg, s.fns, trace, workers)
-	if err != nil {
-		return nil, err
-	}
-	return &Report{
-		Collector: col,
-		Policy:    string(s.cfg.Policy),
-		Verified:  rep.TransformsVerified,
-		Sharding:  rep,
-	}, nil
-}
-
 // RunStream replays the trace like Run but in constant memory: requests pull
 // lazily through a cursor and every record folds into a mergeable summary
 // instead of being retained. Aggregate results (counts, mean, kind fractions,
@@ -454,17 +424,17 @@ func (s *System) RunStream(trace *Trace) (*StreamReport, error) {
 
 // RunWindowed replays the trace through time-windowed optimistic parallelism:
 // each window speculates across the placement's per-window independent node
-// partitions on up to `workers` goroutines (0 means GOMAXPROCS) and windows
-// whose active functions conflict replay serially — no globally disjoint
-// placement is required, unlike RunSharded. Results are exactly RunStream's;
-// configurations that couple requests globally fall back to serial streaming
-// replay, and StreamReport.Windowing says why.
-func (s *System) RunWindowed(trace *Trace, windows, workers int) (*StreamReport, error) {
+// partitions on up to GOMAXPROCS goroutines and windows whose active
+// functions conflict replay serially — no globally disjoint placement is
+// required. Results are exactly RunStream's; configurations that couple
+// requests globally (or GOMAXPROCS=1) fall back to serial
+// streaming replay, and StreamReport.Windowing says why.
+func (s *System) RunWindowed(trace *Trace, windows int) (*StreamReport, error) {
 	cfg, err := s.simConfig(trace)
 	if err != nil {
 		return nil, err
 	}
-	sum, rep, err := simulate.RunWindowed(cfg, s.fns, trace.Cursor(), trace.Duration, windows, workers)
+	sum, rep, err := simulate.RunWindowed(cfg, s.fns, trace.Cursor(), trace.Duration, windows, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -497,12 +467,8 @@ type Report struct {
 	// Verified counts transformation plans executed through the
 	// meta-operator engine (only with SystemConfig.VerifyTransforms).
 	Verified int
-	// Sharding describes how RunSharded parallelized the replay (zero for
-	// plain Run).
-	Sharding simulate.ShardReport
 	// Health aggregates the run's node-health episodes and MTTR (zero when
-	// health tracking is disabled, and for RunSharded, which refuses to
-	// shard with health tracking on).
+	// health tracking is disabled).
 	Health HealthSummary
 }
 
