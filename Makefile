@@ -131,11 +131,12 @@ fanoutguard:
 gatewayguard:
 	$(GO) test -run 'TestGateway' ./internal/experiments
 
-# fuzz runs a short native-fuzzing smoke over the plan executor, the
-# lint-directive parser, the call-graph builder, and the Azure-trace CSV
-# reader.
+# fuzz runs a short native-fuzzing smoke over the plan executor (whole and
+# truncated planner output), the lint-directive parser, the call-graph
+# builder, and the Azure-trace CSV reader.
 fuzz:
 	$(GO) test -fuzz='^FuzzPlanApply$$' -fuzztime=10s -run '^$$' ./internal/planner
+	$(GO) test -fuzz='^FuzzPlanTruncated$$' -fuzztime=10s -run '^$$' ./internal/planner
 	$(GO) test -fuzz='^FuzzDirectiveParse$$' -fuzztime=10s -run '^$$' ./internal/analysis
 	$(GO) test -fuzz='^FuzzCallGraph$$' -fuzztime=10s -run '^$$' ./internal/analysis
 	$(GO) test -fuzz='^FuzzAzureCSV$$' -fuzztime=10s -run '^$$' ./internal/workload

@@ -148,8 +148,8 @@ func (p *Plan) CostByKind() map[Kind]time.Duration {
 // (ground-truth) hardware profile. The simulator charges this, not EstCost.
 func (p *Plan) TrueCost(prof *cost.Profile, src *model.Graph) time.Duration {
 	var total time.Duration
-	for _, s := range p.Steps {
-		total += StepTrueCost(prof, src, s)
+	for i := range p.Steps {
+		total += StepTrueCost(prof, src, &p.Steps[i])
 	}
 	return total
 }
@@ -158,7 +158,7 @@ func (p *Plan) TrueCost(prof *cost.Profile, src *model.Graph) time.Duration {
 // ground-truth hardware profile (what the container really pays, as opposed
 // to the planner's estimate in Step.EstCost). Online profiling compares the
 // two to refine estimates (§6).
-func StepTrueCost(prof *cost.Profile, src *model.Graph, s Step) time.Duration {
+func StepTrueCost(prof *cost.Profile, src *model.Graph, s *Step) time.Duration {
 	switch s.Kind {
 	case KindReplace:
 		return prof.ReplaceCost(&s.Dst)
@@ -205,7 +205,8 @@ func Apply(prof *cost.Profile, p *Plan, src *model.Graph, dst *model.Graph) (*mo
 	var edgeAdds, edgeRemoves int
 	var elapsed time.Duration
 
-	for _, s := range p.Steps {
+	for i := range p.Steps {
+		s := &p.Steps[i]
 		elapsed += StepTrueCost(prof, src, s)
 		switch s.Kind {
 		case KindReplace, KindReshape, KindAdd:

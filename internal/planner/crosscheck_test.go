@@ -63,7 +63,8 @@ func TestCrosscheckHungarianBrute(t *testing.T) {
 				if math.Abs(hNode-bNode) > 1e-9 {
 					t.Errorf("mapping cost hungarian %v != brute %v", hNode, bNode)
 				}
-				gNode := MappingCost(est, src, dst, groupMapping(est, src, dst))
+				pl := New(est, AlgoGroup)
+				gNode := MappingCost(est, src, dst, groupMapping(est, pl.index(src), pl.index(dst)))
 				if gNode < hNode-1e-9 {
 					t.Errorf("group mapping (%v) beat the optimal assignment (%v)", gNode, hNode)
 				}

@@ -1,6 +1,8 @@
 package planner
 
 import (
+	"cmp"
+
 	"repro/internal/cost"
 	"repro/internal/model"
 )
@@ -14,119 +16,113 @@ import (
 //     monotonically with depth, sequential matching of weighted ops is
 //     near-optimal, and weight-free ops can be matched arbitrarily);
 //  3. unmatched source ops are reduced, unmatched destination ops added.
-func groupMapping(est *cost.Estimator, src, dst *model.Graph) Mapping {
-	srcOrder := topoOrder(src)
-	dstOrder := topoOrder(dst)
+//
+// Within a type the matcher runs three passes: (1) identical shape+weights
+// (zero-cost matches — shared pre-trained tensors, e.g. the BERT base under
+// two downstream heads); (2) identical shape (Replace only); (3) remaining
+// ops sequentially in topological order (Reshape), exploiting the
+// monotone-shape observation. Passes 1 and 2 pair the r-th unused
+// destination op of a key with the r-th unused source op of the same key,
+// both in topological order: a merge-join over the indexes' key-sorted op
+// lists. Types never interact, so each pass runs over all types at once.
+func groupMapping(est *cost.Estimator, si, di *modelIndex) Mapping {
+	sops, dops := si.g.Ops(), di.g.Ops()
+	srcToDst := make([]int, len(sops))
+	for i := range srcToDst {
+		srcToDst[i] = -1
+	}
+	// srcToDst[i] >= 0 marks source op i used; matched marks destinations.
+	matched := make([]bool, len(dops))
+	pairs := 0
+	pair := func(i, j int32) {
+		srcToDst[i] = int(j)
+		matched[j] = true
+		pairs++
+	}
 
-	srcGroups := make(map[model.OpType][]int)
-	for _, id := range srcOrder {
-		t := src.Op(id).Type
-		srcGroups[t] = append(srcGroups[t], id)
-	}
-	dstGroups := make(map[model.OpType][]int)
-	for _, id := range dstOrder {
-		t := dst.Op(id).Type
-		dstGroups[t] = append(dstGroups[t], id)
+	for pass := range si.byKey {
+		ss, ds := si.byKey[pass], di.byKey[pass]
+		a, b := 0, 0
+		for a < len(ss) && b < len(ds) {
+			i, j := ss[a], ds[b]
+			if srcToDst[i] >= 0 {
+				a++
+				continue
+			}
+			if matched[j] {
+				b++
+				continue
+			}
+			switch c := compareKey(sops[i], dops[j], pass); {
+			case c < 0:
+				a++
+			case c > 0:
+				b++
+			default:
+				pair(i, j)
+				a++
+				b++
+			}
+		}
 	}
 
-	mp := Mapping{SrcToDst: make([]int, src.NumOps())}
-	for i := range mp.SrcToDst {
-		mp.SrcToDst[i] = -1
+	// Final pass: remaining ops sequentially in topological order, skipping
+	// pairs the profile rules un-reshapeable (extreme size ratios); those
+	// destinations fall through to Add and the sources to Reduce.
+	prof := est.Profile()
+	for t := 0; t < min(len(si.byType), len(di.byType)); t++ {
+		ss := si.byType[t]
+		a := 0
+		for _, j := range di.byType[t] {
+			if matched[j] {
+				continue
+			}
+			for a < len(ss) && (srcToDst[ss[a]] >= 0 || !prof.Reshapeable(sops[ss[a]], dops[j])) {
+				a++
+			}
+			if a == len(ss) {
+				break
+			}
+			pair(ss[a], j)
+			a++
+		}
 	}
-	matched := make([]bool, dst.NumOps())
-	for t, srcIDs := range srcGroups {
-		matchGroup(est, src, dst, srcIDs, dstGroups[t], mp.SrcToDst, matched)
-	}
-	for j := 0; j < dst.NumOps(); j++ {
-		if !matched[j] {
-			mp.Added = append(mp.Added, j)
+
+	mp := Mapping{SrcToDst: srcToDst}
+	if added := len(dops) - pairs; added > 0 {
+		mp.Added = make([]int, 0, added)
+		for j, ok := range matched {
+			if !ok {
+				mp.Added = append(mp.Added, j)
+			}
 		}
 	}
 	return mp
 }
 
-// matchKey buckets operations within a type group. Identical keys mean a
-// substitution needs no Reshape (and, when weights also coincide, no work at
-// all), so the matcher pairs those first.
-type matchKey struct {
-	shape   model.Shape
-	weights uint64
-}
-
-// matchGroup pairs source and destination operations of one type in three
-// linear passes: (1) identical shape+weights (zero-cost matches — shared
-// pre-trained tensors, e.g. the BERT base under two downstream heads);
-// (2) identical shape (Replace only); (3) remaining ops sequentially in
-// topological order (Reshape), exploiting the monotone-shape observation.
-func matchGroup(est *cost.Estimator, src, dst *model.Graph, srcIDs, dstIDs []int, srcToDst []int, matched []bool) {
-	pair := func(i, j int) {
-		srcToDst[i] = j
-		matched[j] = true
+// compareKey orders operations by the group matcher's key for a pass: type
+// and shape, and in pass 0 also the weights identity. Equal keys mean a
+// substitution needs no Reshape (and, in pass 0, no work at all), so the
+// matcher pairs those first.
+func compareKey(a, b *model.Operation, pass int) int {
+	if c := cmp.Compare(a.Type, b.Type); c != 0 {
+		return c
 	}
-	srcLeft := append([]int(nil), srcIDs...)
-	dstLeft := append([]int(nil), dstIDs...)
-
-	for pass := 0; pass < 2; pass++ {
-		buckets := make(map[matchKey][]int, len(srcLeft))
-		for _, i := range srcLeft {
-			k := keyOf(src.Op(i), pass)
-			buckets[k] = append(buckets[k], i)
-		}
-		var nextSrc, nextDst []int
-		usedSrc := make(map[int]bool)
-		for _, j := range dstLeft {
-			k := keyOf(dst.Op(j), pass)
-			if cands := buckets[k]; len(cands) > 0 {
-				i := cands[0]
-				buckets[k] = cands[1:]
-				usedSrc[i] = true
-				pair(i, j)
-			} else {
-				nextDst = append(nextDst, j)
-			}
-		}
-		for _, i := range srcLeft {
-			if !usedSrc[i] {
-				nextSrc = append(nextSrc, i)
-			}
-		}
-		srcLeft, dstLeft = nextSrc, nextDst
+	sa, sb := &a.Shape, &b.Shape
+	if c := cmp.Compare(sa.KernelH, sb.KernelH); c != 0 {
+		return c
 	}
-	// Final pass: remaining ops sequentially in topological order, skipping
-	// pairs the profile rules un-reshapeable (extreme size ratios); those
-	// destinations fall through to Add and the sources to Reduce.
-	prof := est.Profile()
-	si := 0
-	for _, j := range dstLeft {
-		for si < len(srcLeft) && !prof.Reshapeable(src.Op(srcLeft[si]), dst.Op(j)) {
-			si++
-		}
-		if si == len(srcLeft) {
-			break
-		}
-		pair(srcLeft[si], j)
-		si++
+	if c := cmp.Compare(sa.KernelW, sb.KernelW); c != 0 {
+		return c
 	}
-}
-
-func keyOf(op *model.Operation, pass int) matchKey {
-	k := matchKey{shape: op.Shape}
-	if pass == 0 {
-		k.weights = op.WeightsID
+	if c := cmp.Compare(sa.InChannels, sb.InChannels); c != 0 {
+		return c
 	}
-	return k
-}
-
-// topoOrder returns a topological order, falling back to ID order if the
-// graph is (unexpectedly) cyclic; planners must not fail on zoo output,
-// which is always validated acyclic.
-func topoOrder(g *model.Graph) []int {
-	order, err := g.TopoSort()
-	if err != nil {
-		order = make([]int, g.NumOps())
-		for i := range order {
-			order[i] = i
-		}
+	if c := cmp.Compare(sa.OutChannels, sb.OutChannels); c != 0 {
+		return c
 	}
-	return order
+	if c := cmp.Compare(sa.Stride, sb.Stride); c != 0 || pass != 0 {
+		return c
+	}
+	return cmp.Compare(a.WeightsID, b.WeightsID)
 }

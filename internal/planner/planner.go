@@ -2,7 +2,7 @@ package planner
 
 import (
 	"fmt"
-	"time"
+	"sync"
 
 	"repro/internal/cost"
 	"repro/internal/metaop"
@@ -39,14 +39,24 @@ func (a Algorithm) String() string {
 }
 
 // Planner computes transformation plans between model graphs.
+//
+// A planner memoizes a per-model planning index (see modelIndex) the first
+// time it plans a graph, keyed by the graph pointer. A graph must therefore
+// not change after it is first planned; graphs handed out by the zoo and
+// registered with a gateway are immutable, and containers mutate only their
+// own clones. The index grows with the number of distinct graphs planned,
+// not with the number of pairs. A Planner is safe for concurrent use.
 type Planner struct {
 	est  *cost.Estimator
 	algo Algorithm
+
+	mu  sync.RWMutex
+	idx map[*model.Graph]*modelIndex
 }
 
 // New returns a planner using the given profiled cost estimates and solver.
 func New(est *cost.Estimator, algo Algorithm) *Planner {
-	return &Planner{est: est, algo: algo}
+	return &Planner{est: est, algo: algo, idx: make(map[*model.Graph]*modelIndex)}
 }
 
 // Estimator returns the planner's cost estimator.
@@ -56,52 +66,95 @@ func (p *Planner) Estimator() *cost.Estimator { return p.est }
 // safeguard decision: if the estimated transformation cost exceeds loading
 // dst from scratch, the plan is flagged LoadFromScratch.
 func (p *Planner) Plan(src, dst *model.Graph) *metaop.Plan {
-	mp := p.mapping(src, dst)
-	plan := BuildPlan(p.est, src, dst, mp)
-	plan.ScratchCost = p.est.ModelLoad(dst)
+	si, di := p.index(src), p.index(dst)
+	plan := buildPlan(p.est, si, di, p.mapping(si, di))
+	plan.ScratchCost = di.scratch
 	if plan.EstCost > plan.ScratchCost {
 		plan.LoadFromScratch = true
 	}
 	return plan
 }
 
-func (p *Planner) mapping(src, dst *model.Graph) Mapping {
+func (p *Planner) mapping(si, di *modelIndex) Mapping {
 	switch p.algo {
 	case AlgoHungarian:
-		mx := BuildMatrix(p.est, src, dst)
+		mx := BuildMatrix(p.est, si.g, di.g)
 		rowToCol, _ := hungarian(mx)
 		return mappingFromAssignment(mx, rowToCol)
 	case AlgoBrute:
-		mx := BuildMatrix(p.est, src, dst)
+		mx := BuildMatrix(p.est, si.g, di.g)
 		rowToCol, _ := bruteForce(mx)
 		return mappingFromAssignment(mx, rowToCol)
 	default:
-		return groupMapping(p.est, src, dst)
+		return groupMapping(p.est, si, di)
 	}
 }
 
-// BuildPlan converts an operation mapping into an executable meta-operator
+// buildPlan converts an operation mapping into an executable meta-operator
 // plan: substitutions become Replace/Reshape steps, deletions Reduce steps,
 // insertions Add steps, and the edge difference under the mapping becomes
-// Edge steps.
-func BuildPlan(est *cost.Estimator, src, dst *model.Graph, mp Mapping) *metaop.Plan {
+// Edge steps. It counts the steps first and allocates them once, so a plan
+// holds no spare capacity, and a plan with no steps keeps Steps nil.
+func buildPlan(est *cost.Estimator, si, di *modelIndex, mp Mapping) *metaop.Plan {
+	src, dst := si.g, di.g
+	sops, dops := src.Ops(), dst.Ops()
 	plan := &metaop.Plan{
 		SrcName: src.Name, DstName: dst.Name,
-		SrcHash: src.StructureHash(), DstHash: dst.StructureHash(),
-	}
-	var total time.Duration
-	add := func(s metaop.Step) {
-		plan.Steps = append(plan.Steps, s)
-		total += s.EstCost
+		SrcHash: si.hash, DstHash: di.hash,
 	}
 
+	// The mapping is injective, so a destination edge (u,v) is kept exactly
+	// when its preimage (dstToSrc[u], dstToSrc[v]) is a source edge; every
+	// other source edge is removed and every other destination edge added.
+	dstToSrc := make([]int, len(dops))
+	for j := range dstToSrc {
+		dstToSrc[j] = -1
+	}
+	n := len(mp.Added)
 	for i, j := range mp.SrcToDst {
-		srcOp := src.Op(i)
+		if j < 0 {
+			n++
+			continue
+		}
+		dstToSrc[j] = i
+		srcOp, dstOp := sops[i], dops[j]
+		switch {
+		case srcOp.Shape == dstOp.Shape && srcOp.WeightsID == dstOp.WeightsID:
+		case srcOp.Shape == dstOp.Shape:
+			n++
+		case dstOp.HasWeights():
+			n += 2
+		default:
+			n++
+		}
+	}
+	keptEdge := func(e model.Edge) bool {
+		from, to := dstToSrc[e.From], dstToSrc[e.To]
+		return from >= 0 && to >= 0 && src.HasEdge(from, to)
+	}
+	kept := 0
+	for _, e := range di.edges {
+		if keptEdge(e) {
+			kept++
+		}
+	}
+	n += len(si.edges) + len(di.edges) - 2*kept
+	if n == 0 {
+		return plan
+	}
+
+	plan.Steps = make([]metaop.Step, 0, n)
+	add := func(s metaop.Step) {
+		plan.Steps = append(plan.Steps, s)
+		plan.EstCost += s.EstCost
+	}
+	for i, j := range mp.SrcToDst {
+		srcOp := sops[i]
 		if j < 0 {
 			add(metaop.Step{Kind: metaop.KindReduce, SrcID: i, DstID: -1, EstCost: est.ReduceCost(srcOp)})
 			continue
 		}
-		dstOp := dst.Op(j)
+		dstOp := dops[j]
 		switch {
 		case srcOp.Shape == dstOp.Shape && srcOp.WeightsID == dstOp.WeightsID:
 			// Perfect match: zero cost, no step.
@@ -118,31 +171,24 @@ func BuildPlan(est *cost.Estimator, src, dst *model.Graph, mp Mapping) *metaop.P
 		}
 	}
 	for _, j := range mp.Added {
-		add(metaop.Step{Kind: metaop.KindAdd, SrcID: -1, DstID: j, Dst: withID(dst.Op(j), j),
-			EstCost: est.AddCost(dst.Op(j))})
+		add(metaop.Step{Kind: metaop.KindAdd, SrcID: -1, DstID: j, Dst: withID(dops[j], j),
+			EstCost: est.AddCost(dops[j])})
 	}
 
-	// Edge difference under the mapping: source edges whose mapped image is
-	// not a destination edge are removed; destination edges not covered by a
-	// mapped source edge are added.
-	kept := make(map[model.Edge]bool)
-	for _, e := range src.Edges() {
-		mf, mt := mp.SrcToDst[e.From], mp.SrcToDst[e.To]
-		if mf >= 0 && mt >= 0 && dst.HasEdge(mf, mt) {
-			kept[model.Edge{From: mf, To: mt}] = true
+	edgeCost := est.EdgeCost(1)
+	for _, e := range si.edges {
+		if from, to := mp.SrcToDst[e.From], mp.SrcToDst[e.To]; from >= 0 && to >= 0 && dst.HasEdge(from, to) {
 			continue
 		}
 		add(metaop.Step{Kind: metaop.KindEdge, SrcID: -1, DstID: -1,
-			EdgeFrom: e.From, EdgeTo: e.To, EdgeAdd: false, EstCost: est.EdgeCost(1)})
+			EdgeFrom: e.From, EdgeTo: e.To, EdgeAdd: false, EstCost: edgeCost})
 	}
-	for _, e := range dst.Edges() {
-		if !kept[e] {
+	for _, e := range di.edges {
+		if !keptEdge(e) {
 			add(metaop.Step{Kind: metaop.KindEdge, SrcID: -1, DstID: -1,
-				EdgeFrom: e.From, EdgeTo: e.To, EdgeAdd: true, EstCost: est.EdgeCost(1)})
+				EdgeFrom: e.From, EdgeTo: e.To, EdgeAdd: true, EstCost: edgeCost})
 		}
 	}
-
-	plan.EstCost = total
 	return plan
 }
 

@@ -98,7 +98,8 @@ func TestQuickHungarianNeverWorseOnNodeCost(t *testing.T) {
 		mx := BuildMatrix(est, src, dst)
 		rowToCol, _ := hungarian(mx)
 		hMap := mappingFromAssignment(mx, rowToCol)
-		gMap := groupMapping(est, src, dst)
+		pl := New(est, AlgoGroup)
+		gMap := groupMapping(est, pl.index(src), pl.index(dst))
 		hCost := MappingCost(est, src, dst, hMap)
 		gCost := MappingCost(est, src, dst, gMap)
 		return hCost <= gCost+1e-6

@@ -1248,7 +1248,8 @@ func (s *Simulator) drainQueue(node *Node) {
 // is recomputed from the estimator's *current* state: cached plans carry
 // stale step estimates, and learning against those would never converge.
 func (s *Simulator) observeExecution(plan *metaop.Plan, src *model.Graph) {
-	for _, st := range plan.Steps {
+	for i := range plan.Steps {
+		st := &plan.Steps[i]
 		typ, ok := st.TargetType(src)
 		if !ok {
 			continue
