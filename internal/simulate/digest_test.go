@@ -1,0 +1,149 @@
+package simulate_test
+
+import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
+	"slices"
+	"testing"
+	"time"
+
+	"repro/internal/faults"
+	"repro/internal/health"
+	"repro/internal/planner"
+	"repro/internal/policy"
+	"repro/internal/simulate"
+	"repro/internal/supervisor"
+	"repro/internal/workload"
+	"repro/internal/zoo"
+)
+
+// digestFunctions returns the replay-digest functions: the BERT zoo followed
+// by the first 50 Imgclsmob models, one function per model.
+func digestFunctions() []*simulate.Function {
+	var fns []*simulate.Function
+	bert, img := zoo.BERTZoo(), zoo.Imgclsmob()
+	for _, n := range bert.Names() {
+		fns = append(fns, &simulate.Function{Name: n, Model: bert.MustGet(n)})
+	}
+	for _, n := range img.Names()[:50] {
+		fns = append(fns, &simulate.Function{Name: n, Model: img.MustGet(n)})
+	}
+	return fns
+}
+
+// smallestFunctions returns the n functions with the fewest operations
+// (ties by name), in that order: few enough ops for the Hungarian solver.
+func smallestFunctions(fns []*simulate.Function, n int) []*simulate.Function {
+	out := slices.Clone(fns)
+	slices.SortStableFunc(out, func(a, b *simulate.Function) int {
+		if c := a.Model.NumOps() - b.Model.NumOps(); c != 0 {
+			return c
+		}
+		if a.Name < b.Name {
+			return -1
+		}
+		return 1
+	})
+	return out[:n]
+}
+
+// replayDigest replays a 12 h AzureLike trace over fns on cfg.Nodes nodes ×
+// 6 containers under Optimus, with faults, the circuit breaker, health
+// tracking, backoff and hedging on, and folds every record (in collector
+// order) and the fault tallies into one hash. It returns the digest and the
+// plan cache's counters.
+func replayDigest(t *testing.T, cfg simulate.Config, fns []*simulate.Function) (uint64, planner.Counters) {
+	t.Helper()
+	names := make([]string, len(fns))
+	for i, f := range fns {
+		names[i] = f.Name
+	}
+	cfg.ContainersPerNode = 6
+	cfg.Policy = policy.Optimus{}
+	cfg.Placement = simulate.HashPlacement(names, cfg.Nodes)
+	cfg.Seed = 31
+	cfg.Faults = faults.Rates{Crash: 0.01, Hang: 0.1, Slow: 0.01, Flaky: 0.03, Bandwidth: 0.02, Transform: 0.02, Load: 0.02}
+	cfg.WatchdogFactor = 2
+	cfg.Breaker = supervisor.BreakerConfig{Threshold: 3, Cooldown: 10 * time.Minute}
+	cfg.Health = health.Config{Enabled: true}
+	cfg.Retry = supervisor.BackoffConfig{Base: 50 * time.Millisecond}
+	cfg.Hedge = supervisor.HedgeConfig{Percentile: 90}
+	sim := simulate.New(cfg, fns)
+	col, err := sim.Run(workload.AzureLike(names, 12*time.Hour, 97))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	h := fnv.New64a()
+	var buf [8]byte
+	put := func(v int64) {
+		binary.LittleEndian.PutUint64(buf[:], uint64(v))
+		h.Write(buf[:])
+	}
+	recs := col.Records()
+	put(int64(len(recs)))
+	for _, r := range recs {
+		put(int64(len(r.Function)))
+		h.Write([]byte(r.Function))
+		for _, v := range []time.Duration{r.Arrival, r.Start, r.End, r.Wait, r.Init, r.Load, r.Compute} {
+			put(int64(v))
+		}
+		put(int64(r.Kind))
+		put(int64(r.Retries))
+	}
+	fmt.Fprintf(h, "%+v", col.Faults)
+	if col.Faults.HedgedTransforms == 0 || col.Faults.BreakerShortCircuits == 0 && col.Faults.TransformFallbacks == 0 {
+		t.Errorf("replay exercised too little supervision: %+v", col.Faults)
+	}
+	return h.Sum64(), sim.Env().Plans.Counters()
+}
+
+type lookups struct{ hits, misses, evictions int }
+
+// TestReplayDigest pins every record of a small supervised Optimus replay
+// under the planner's configurations: default, verified transforms, online
+// profiling, bounded plan caches and the Hungarian solver. The digests were computed before donors were
+// ranked by a step-free cost pass; that change (and any other speed work on
+// the planning path) must reproduce them exactly, which pins virtual time
+// byte for byte, including plan-cache eviction order under a bound.
+func TestReplayDigest(t *testing.T) {
+	fns := digestFunctions()
+	cases := []struct {
+		name string
+		cfg  simulate.Config
+		fns  []*simulate.Function
+		want uint64
+		// lookups pins the plan cache's hits, misses and evictions: donor
+		// ranking must touch the cache exactly as before.
+		lookups lookups
+	}{
+		{name: "default", cfg: simulate.Config{Nodes: 4}, want: 0x138dce62c6fd0b89, lookups: lookups{2650, 623, 0}},
+		{name: "verify", cfg: simulate.Config{Nodes: 4, VerifyTransforms: true}, want: 0x138dce62c6fd0b89, lookups: lookups{2650, 623, 0}},
+		{name: "online-profiling", cfg: simulate.Config{Nodes: 4, OnlineProfiling: 0.2, EstimatorErr: 0.5}, want: 0x937c90d0cfc71690, lookups: lookups{2679, 628, 0}},
+		{name: "bounded-cache", cfg: simulate.Config{Nodes: 4, PlanCacheMax: 60}, want: 0x138dce62c6fd0b89, lookups: lookups{717, 2556, 2496}},
+		// A bound below the donor count of one request evicts pairs while
+		// the donors are being ranked.
+		{name: "tiny-cache", cfg: simulate.Config{Nodes: 4, PlanCacheMax: 3}, want: 0x138dce62c6fd0b89, lookups: lookups{55, 3218, 3215}},
+		// Under online profiling a re-planned pair sees a newer estimator, so
+		// eviction order reaches virtual time.
+		{name: "online-bounded", cfg: simulate.Config{Nodes: 4, OnlineProfiling: 0.2, EstimatorErr: 0.5, PlanCacheMax: 60}, want: 0x8e56357461808e56, lookups: lookups{719, 2554, 2494}},
+		{name: "hungarian", cfg: simulate.Config{Nodes: 1, PlannerAlgo: planner.AlgoHungarian}, fns: smallestFunctions(fns, 12), want: 0x15c7e77b138dc9fb, lookups: lookups{551, 119, 0}},
+		{name: "hungarian-online", cfg: simulate.Config{Nodes: 1, PlannerAlgo: planner.AlgoHungarian, OnlineProfiling: 0.2, EstimatorErr: 0.5}, fns: smallestFunctions(fns, 12), want: 0xb8c2c2b8fbc58874, lookups: lookups{556, 118, 0}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			in := fns
+			if tc.fns != nil {
+				in = tc.fns
+			}
+			got, ct := replayDigest(t, tc.cfg, in)
+			if l := (lookups{ct.Hits, ct.Misses, ct.Evictions}); l != tc.lookups {
+				t.Errorf("plan cache hits, misses, evictions = %v, want %v", l, tc.lookups)
+			}
+			if got != tc.want {
+				t.Errorf("replay digest = %#x, want %#x (counters %+v)", got, tc.want, ct)
+			}
+		})
+	}
+}
