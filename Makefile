@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet fmt lint lintguard test race bench bench-scale bench-stream bench-soak bench-recovery bench-fanout bench-gateway microbench benchguard scaleguard streamguard soakguard recoveryguard fanoutguard gatewayguard fuzz check
+.PHONY: build vet fmt lint lintguard test race bench bench-scale bench-stream bench-soak bench-recovery bench-fanout bench-gateway microbench benchguard scaleguard streamguard soakguard recoveryguard fanoutguard gatewayguard benchtest fuzz check
 
 build:
 	$(GO) build ./...
@@ -131,6 +131,12 @@ fanoutguard:
 gatewayguard:
 	$(GO) test -run 'TestGateway' ./internal/experiments
 
+# benchtest runs the repo benchmark's own tests (TestBenchmarkQuick and its
+# replay-determinism checks). The benchmark is a nested Go module, so the
+# root `go test ./...` never reaches it.
+benchtest:
+	cd benchmark && $(GO) test ./...
+
 # fuzz runs a short native-fuzzing smoke over the plan executor (whole and
 # truncated planner output), the lint-directive parser, the call-graph
 # builder, and the Azure-trace CSV reader.
@@ -143,6 +149,6 @@ fuzz:
 
 # check is the pre-merge gate: formatting, static analysis (go vet plus the
 # project linter with its JSON gate), a full build, the test suite under the
-# race detector (the gateway stress test needs it), and the benchmark
-# regression guards.
-check: fmt vet lintguard build race benchguard scaleguard streamguard soakguard recoveryguard fanoutguard gatewayguard
+# race detector (the gateway stress test needs it), the benchmark
+# regression guards, and the repo benchmark's own tests.
+check: fmt vet lintguard build race benchguard scaleguard streamguard soakguard recoveryguard fanoutguard gatewayguard benchtest

@@ -338,3 +338,34 @@ func TestOnlineProfilingConverges(t *testing.T) {
 		t.Error("zero prediction should be ignored")
 	}
 }
+
+// TestMiscalibrationDeterministic: on an estimator that has learned online,
+// Miscalibration returns the same bits on every call, equal to the mean
+// absolute factor error summed in op-type order.
+func TestMiscalibrationDeterministic(t *testing.T) {
+	p := CPU()
+	e := NewEstimator(p, 0.5, 11)
+	e.EnableOnlineProfiling(0.2)
+	cv := conv(3, 64, 64, 1)
+	for i, typ := range model.AllOpTypes() {
+		op := *cv
+		op.Type = typ
+		e.Observe(typ, e.AddCost(&op), p.AddCost(&op)*time.Duration(i%3+1))
+	}
+	var sum float64
+	types := model.AllOpTypes()
+	for _, typ := range types {
+		sum += math.Abs(e.Snapshot().factor[typ] - 1)
+	}
+	want := sum / float64(len(types))
+	first := e.Miscalibration()
+	if math.Float64bits(first) != math.Float64bits(want) {
+		t.Fatalf("Miscalibration = %v (%#x), ordered reference sum gives %v (%#x)",
+			first, math.Float64bits(first), want, math.Float64bits(want))
+	}
+	for i := 0; i < 100; i++ {
+		if got := e.Miscalibration(); math.Float64bits(got) != math.Float64bits(first) {
+			t.Fatalf("call %d: Miscalibration = %v, first call gave %v", i, got, first)
+		}
+	}
+}

@@ -67,11 +67,13 @@ type GatewayScalePoint struct {
 type GatewayCacheRun struct {
 	Mode   string `json:"mode"`
 	Served int    `json:"served"`
-	// Planned/Hits/Misses/Remote sum the members' plan-cache counters;
-	// Remote counts owner-pulls (always 0 when isolated), Replications the
-	// hot-pair pushes. HitRatio is the fraction of probes resolved without
-	// running the planner — a pull counts, since the plan already existed
-	// somewhere in the cluster: (hits+remote)/(hits+misses).
+	// Planned/Hits/Misses/Remote sum the members' plan-cache counters,
+	// with Planned counting every planning operation: step constructions
+	// plus step-free cost passes. Remote counts owner-pulls (always 0 when
+	// isolated), Replications the hot-pair pushes. HitRatio is the fraction
+	// of probes resolved without running the planner — a pull counts, since
+	// the plan already existed somewhere in the cluster:
+	// (hits+remote)/(hits+misses).
 	Planned      int     `json:"planned"`
 	Hits         int     `json:"hits"`
 	Misses       int     `json:"misses"`
@@ -231,7 +233,7 @@ func gatewayCacheOnce(o Options, requests int, fns []*simulate.Function, shared 
 
 	st := cl.Stats()
 	for _, m := range st.Members {
-		run.Planned += m.Cache.Planned
+		run.Planned += m.Cache.Planned + m.Cache.Costed
 		run.Hits += m.Cache.Hits
 		run.Misses += m.Cache.Misses
 		run.Remote += m.Cache.Remote

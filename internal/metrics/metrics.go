@@ -313,7 +313,7 @@ func (c *Collector) Percentile(p float64) time.Duration {
 	if len(c.records) == 0 {
 		return 0
 	}
-	return percentileSorted(c.sortedLatencies(), p)
+	return PercentileSorted(c.sortedLatencies(), p)
 }
 
 // Percentiles returns the latency percentiles for each p in ps, sharing a
@@ -325,7 +325,7 @@ func (c *Collector) Percentiles(ps ...float64) []time.Duration {
 	}
 	sorted := c.sortedLatencies()
 	for i, p := range ps {
-		out[i] = percentileSorted(sorted, p)
+		out[i] = PercentileSorted(sorted, p)
 	}
 	return out
 }
@@ -383,8 +383,8 @@ func (c *Collector) Quick() QuickStats {
 		return q
 	}
 	sorted := c.sortedLatencies()
-	q.P50 = percentileSorted(sorted, 50)
-	q.P99 = percentileSorted(sorted, 99)
+	q.P50 = PercentileSorted(sorted, 50)
+	q.P99 = PercentileSorted(sorted, 99)
 	total := float64(len(c.records))
 	for k, n := range c.kinds {
 		// Divide per kind (not multiply by a shared reciprocal) so the values
@@ -502,13 +502,14 @@ func DurationPercentile(ds []time.Duration, p float64) time.Duration {
 	}
 	sorted := append([]time.Duration(nil), ds...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	return percentileSorted(sorted, p)
+	return PercentileSorted(sorted, p)
 }
 
-// percentileSorted is the nearest-rank percentile over an already
-// ascending-sorted, non-empty sample. Callers holding a reusable sorted view
-// (Collector's cache) use this to avoid DurationPercentile's copy+sort.
-func percentileSorted(sorted []time.Duration, p float64) time.Duration {
+// PercentileSorted is the nearest-rank percentile over an already
+// ascending-sorted, non-empty sample: DurationPercentile without its
+// copy+sort, for callers holding a sorted view (Collector's cache, the
+// hedger's window).
+func PercentileSorted(sorted []time.Duration, p float64) time.Duration {
 	idx := int(math.Ceil(p/100*float64(len(sorted)))) - 1
 	if idx < 0 {
 		idx = 0

@@ -36,6 +36,15 @@ import (
 // owner instead of re-running the planner — the cross-gateway extension of
 // the same singleflight idea. Loader fills are counted as Remote, not
 // Planned.
+//
+// Donor selection needs only a pair's Cost, so an entry can hold a pair
+// before its plan exists: GetOrCost on a miss runs the planner's step-free
+// cost pass and keeps the pair's draft (its operation mapping and the
+// estimates snapshot it was costed under). The steps are built from that
+// draft on first demand (Costed.Plan, or GetOrPlan on the pair), so they are
+// the steps a plan built at costing time would have had. A cost-only entry
+// counts against the bound and is evicted like any other; Get and Len see
+// only entries whose steps exist.
 type Cache struct {
 	shards []cacheShard
 	mask   uint64
@@ -73,16 +82,17 @@ type cacheShard struct {
 	flights map[cacheKey]*flight
 
 	hits, misses int
-	// planned counts plans actually computed through GetOrPlan; deduped
-	// counts callers that piggybacked on another goroutine's in-flight
-	// computation instead of planning themselves; remote counts plans pulled
-	// through the loader instead of planned locally.
-	planned, deduped, remote int
-	// evictions counts plans dropped by the LRU bound.
+	// planned counts step constructions (a full plan, or the steps of a
+	// costed pair); costed counts step-free cost passes; deduped counts
+	// callers that piggybacked on another goroutine's in-flight computation
+	// instead of planning themselves; remote counts plans pulled through the
+	// loader instead of planned locally.
+	planned, costed, deduped, remote int
+	// evictions counts entries dropped by the LRU bound.
 	evictions int
 	// planTimes is the per-pair planning-time telemetry recorded around every
-	// Plan call GetOrPlan performs: a streaming log-linear digest (O(1) per
-	// observation, no retained samples) with exact count/total/max.
+	// cost pass and step construction: a streaming log-linear digest (O(1)
+	// per observation, no retained samples) with exact count/total/max.
 	planTimes metrics.DurationDigest
 }
 
@@ -103,17 +113,25 @@ func (k cacheKey) shardIndex(mask uint64) uint64 {
 	return h & mask
 }
 
-// lruEntry is one cached plan on a shard's recency list.
+// lruEntry is one cached pair on a shard's recency list. Its fields other
+// than key are guarded by the shard's mutex.
 type lruEntry struct {
-	key        cacheKey
-	plan       *metaop.Plan
+	key cacheKey
+	// plan is the pair's plan; nil until its steps are built.
+	plan *metaop.Plan
+	// cost is the pair's Cost when costed is set.
+	cost   Cost
+	costed bool
+	// draft builds the steps of a costed pair whose plan is still nil.
+	draft      *draft
 	prev, next *lruEntry
 }
 
-// flight is one in-progress plan computation; waiters block on done.
+// flight is one in-progress computation for a pair; waiters block on done
+// and then read the entry it filled.
 type flight struct {
-	done chan struct{}
-	plan *metaop.Plan
+	done  chan struct{}
+	entry *lruEntry
 }
 
 // NewCache returns an empty, unbounded plan cache sharded DefaultShards ways.
@@ -224,7 +242,7 @@ func (s *cacheShard) moveToFront(e *lruEntry) {
 
 // lookup must be called with s.mu held; it counts the hit/miss and
 // freshens the LRU position.
-func (s *cacheShard) lookup(k cacheKey) (*metaop.Plan, bool) {
+func (s *cacheShard) lookup(k cacheKey) (*lruEntry, bool) {
 	e, ok := s.m[k]
 	if !ok {
 		s.misses++
@@ -232,20 +250,22 @@ func (s *cacheShard) lookup(k cacheKey) (*metaop.Plan, bool) {
 	}
 	s.hits++
 	s.moveToFront(e)
-	return e.plan, true
+	return e, true
 }
 
-// insert must be called with s.mu held; it stores (or refreshes) the plan
-// and applies the LRU bound.
-func (s *cacheShard) insert(k cacheKey, p *metaop.Plan) {
-	if e, ok := s.m[k]; ok {
-		e.plan = p
-		s.moveToFront(e)
-		return
+// insert must be called with s.mu held; it stores (or refreshes) the pair's
+// plan, cost and draft from v and applies the LRU bound.
+func (s *cacheShard) insert(k cacheKey, v lruEntry) *lruEntry {
+	e, ok := s.m[k]
+	if !ok {
+		e = &lruEntry{key: k}
+		s.m[k] = e
 	}
-	e := &lruEntry{key: k, plan: p}
-	s.m[k] = e
+	e.plan, e.cost, e.costed, e.draft = v.plan, v.cost, v.costed, v.draft
 	s.moveToFront(e)
+	if ok {
+		return e
+	}
 	for s.limit > 0 && len(s.m) > s.limit {
 		back := s.tail
 		if back == nil {
@@ -261,31 +281,41 @@ func (s *cacheShard) insert(k cacheKey, p *metaop.Plan) {
 		delete(s.m, back.key)
 		s.evictions++
 	}
+	return e
 }
 
-// Get returns the cached plan for src→dst, if any. Get never consults the
+// Get returns the cached plan for src→dst, if any. A pair that is only
+// costed has no plan yet and counts as a miss. Get never consults the
 // loader: it reports strictly local occupancy.
 func (c *Cache) Get(src, dst *model.Graph) (*metaop.Plan, bool) {
 	k := c.keyFor(src, dst)
 	s := c.shardFor(k)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.lookup(k)
+	if e, ok := s.m[k]; ok && e.plan != nil {
+		s.hits++
+		s.moveToFront(e)
+		return e.plan, true
+	}
+	s.misses++
+	return nil, false
 }
 
-// Put stores a plan for src→dst.
+// Put stores a plan for src→dst. The pair's Cost is derived from the plan
+// when it is next asked for.
 func (c *Cache) Put(src, dst *model.Graph, p *metaop.Plan) {
 	k := c.keyFor(src, dst)
 	s := c.shardFor(k)
 	s.mu.Lock()
-	s.insert(k, p)
+	s.insert(k, lruEntry{plan: p})
 	s.mu.Unlock()
 }
 
 // GetOrPlan returns the cached plan, pulls it through the loader (when one is
-// installed), or computes and caches one with pl. Concurrent calls for the
-// same pair resolve it exactly once: the first caller loads or plans, the
-// rest wait for its result (singleflight).
+// installed), or computes and caches one with pl. A pair that is only costed
+// gets its steps built from its draft. Concurrent calls for the same pair
+// resolve it exactly once: the first caller loads or plans, the rest wait
+// for its result (singleflight).
 func (c *Cache) GetOrPlan(pl *Planner, src, dst *model.Graph) *metaop.Plan {
 	return c.getOrPlan(pl, src, dst, c.loader)
 }
@@ -301,53 +331,175 @@ func (c *Cache) getOrPlan(pl *Planner, src, dst *model.Graph, loader func(src, d
 	k := c.keyFor(src, dst)
 	s := c.shardFor(k)
 	s.mu.Lock()
-	if p, ok := s.lookup(k); ok {
+	if e, ok := s.lookup(k); ok {
+		if p := e.plan; p != nil {
+			s.mu.Unlock()
+			return p
+		}
 		s.mu.Unlock()
-		return p
+		return s.steps(e)
 	}
 	if f, ok := s.flights[k]; ok {
 		s.deduped++
 		s.mu.Unlock()
 		<-f.done
-		return f.plan
+		return s.steps(f.entry)
 	}
 	f := &flight{done: make(chan struct{})}
 	s.flights[k] = f
 	s.mu.Unlock()
 
-	if loader != nil {
-		if p, ok := loader(src, dst); ok {
-			s.mu.Lock()
-			s.insert(k, p)
-			delete(s.flights, k)
-			s.remote++
-			s.mu.Unlock()
-			f.plan = p
-			close(f.done)
-			return p
-		}
+	if e := s.load(k, f, loader, src, dst); e != nil {
+		return e.plan
 	}
 
 	t0 := time.Now() //optimus:allow wallclock — telemetry: measures real planning cost, never enters simulated time
-	p := pl.Plan(src, dst)
+	d := pl.draft(src, dst)
+	p, cst := d.build()
 	took := time.Since(t0) //optimus:allow wallclock — telemetry: pairs with the time.Now above
 
 	s.mu.Lock()
-	s.insert(k, p)
+	f.entry = s.insert(k, lruEntry{plan: p, cost: cst, costed: true})
 	delete(s.flights, k)
 	s.planned++
 	s.planTimes.Observe(took)
 	s.mu.Unlock()
-
-	f.plan = p
 	close(f.done)
 	return p
 }
 
-// FlightsQuiesce waits until a moment with no in-flight GetOrPlan
-// computations: every singleflight started before the call has landed its
-// plan in the cache. The control plane's drain handoff calls it so a
-// draining gateway's cache enumeration misses nothing mid-computation.
+// Costed is one pair's Cost as the cache holds it. Plan returns the pair's
+// plan, building its steps on first demand.
+type Costed struct {
+	Cost
+	s *cacheShard
+	e *lruEntry
+}
+
+// Plan returns the costed pair's plan: the cached one, or steps built now
+// from the pair's draft and cached. It counts no lookup and leaves LRU
+// recency alone, and it works even if the pair was evicted since it was
+// costed.
+func (k Costed) Plan() *metaop.Plan { return k.s.steps(k.e) }
+
+// GetOrCost returns the Cost of src→dst: from the cached entry, from a plan
+// pulled through the loader (when one is installed), or from the planner's
+// step-free cost pass, whose draft the cache keeps for building the steps
+// later. It touches hit/miss counters and LRU recency exactly as GetOrPlan
+// does, and a pair whose plan is cached takes its Cost from that plan.
+// Concurrent calls for the same pair resolve it once (singleflight, shared
+// with GetOrPlan).
+func (c *Cache) GetOrCost(pl *Planner, src, dst *model.Graph) Costed {
+	k := c.keyFor(src, dst)
+	s := c.shardFor(k)
+	s.mu.Lock()
+	if e, ok := s.lookup(k); ok {
+		if e.costed {
+			cst := e.cost
+			s.mu.Unlock()
+			return Costed{Cost: cst, s: s, e: e}
+		}
+		s.mu.Unlock()
+		return s.costOf(pl, e, src)
+	}
+	if f, ok := s.flights[k]; ok {
+		s.deduped++
+		s.mu.Unlock()
+		<-f.done
+		return s.costOf(pl, f.entry, src)
+	}
+	f := &flight{done: make(chan struct{})}
+	s.flights[k] = f
+	s.mu.Unlock()
+
+	if e := s.load(k, f, c.loader, src, dst); e != nil {
+		return s.costOf(pl, e, src)
+	}
+
+	t0 := time.Now() //optimus:allow wallclock — telemetry: measures real planning cost, never enters simulated time
+	d := pl.draft(src, dst)
+	cst := d.cost()
+	took := time.Since(t0) //optimus:allow wallclock — telemetry: pairs with the time.Now above
+
+	s.mu.Lock()
+	e := s.insert(k, lruEntry{cost: cst, costed: true, draft: &d})
+	f.entry = e
+	delete(s.flights, k)
+	s.costed++
+	s.planTimes.Observe(took)
+	s.mu.Unlock()
+	close(f.done)
+	return Costed{Cost: cst, s: s, e: e}
+}
+
+// load resolves the in-flight miss f through the loader, if one is
+// installed and has the plan: it caches the pulled plan, lands the flight
+// and returns the entry. It returns nil when the caller must compute the
+// pair itself.
+func (s *cacheShard) load(k cacheKey, f *flight, loader func(src, dst *model.Graph) (*metaop.Plan, bool), src, dst *model.Graph) *lruEntry {
+	if loader == nil {
+		return nil
+	}
+	p, ok := loader(src, dst)
+	if !ok {
+		return nil
+	}
+	s.mu.Lock()
+	e := s.insert(k, lruEntry{plan: p})
+	f.entry = e
+	delete(s.flights, k)
+	s.remote++
+	s.mu.Unlock()
+	close(f.done)
+	return e
+}
+
+// steps returns e's plan, building it from e's draft if it has none yet.
+// Concurrent builders may race; the first to publish wins.
+func (s *cacheShard) steps(e *lruEntry) *metaop.Plan {
+	s.mu.Lock()
+	p, d := e.plan, e.draft
+	s.mu.Unlock()
+	if p != nil {
+		return p
+	}
+	t0 := time.Now() //optimus:allow wallclock — telemetry: measures real planning cost, never enters simulated time
+	p, _ = d.build()
+	took := time.Since(t0) //optimus:allow wallclock — telemetry: pairs with the time.Now above
+	s.mu.Lock()
+	if e.plan == nil {
+		e.plan, e.draft = p, nil
+		s.planned++
+		s.planTimes.Observe(took)
+	} else {
+		p = e.plan
+	}
+	s.mu.Unlock()
+	return p
+}
+
+// costOf returns e's Cost, deriving it from e's plan (whose true cost is
+// taken under pl's profile) if the pair was never costed.
+func (s *cacheShard) costOf(pl *Planner, e *lruEntry, src *model.Graph) Costed {
+	s.mu.Lock()
+	cst, ok, p := e.cost, e.costed, e.plan
+	s.mu.Unlock()
+	if !ok {
+		cst = Cost{Est: p.EstCost, Scratch: p.ScratchCost, LoadFromScratch: p.LoadFromScratch,
+			True: p.TrueCost(pl.est.Profile(), src)}
+		s.mu.Lock()
+		if e.plan == p {
+			e.cost, e.costed = cst, true
+		}
+		s.mu.Unlock()
+	}
+	return Costed{Cost: cst, s: s, e: e}
+}
+
+// FlightsQuiesce waits until a moment with no in-flight GetOrPlan or
+// GetOrCost computations: every singleflight started before the call has
+// landed its entry in the cache. The control plane's drain handoff calls it
+// so a draining gateway's cache enumeration misses nothing mid-computation.
 // Callers must fence new work themselves (a drained member receives none).
 func (c *Cache) FlightsQuiesce() {
 	for {
@@ -369,13 +521,18 @@ func (c *Cache) FlightsQuiesce() {
 	}
 }
 
-// Len returns the number of cached plans.
+// Len returns the number of cached plans: entries whose steps exist, as Get
+// sees them. Counters.Size also counts pairs that are only costed.
 func (c *Cache) Len() int {
 	n := 0
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		n += len(s.m)
+		for e := s.head; e != nil; e = e.next {
+			if e.plan != nil {
+				n++
+			}
+		}
 		s.mu.Unlock()
 	}
 	return n
@@ -390,17 +547,22 @@ func (c *Cache) Stats() (hits, misses int) {
 // Counters is a point-in-time snapshot of the cache's bookkeeping, summed
 // across shards.
 type Counters struct {
-	// Hits/Misses count lookups (Get and the read side of GetOrPlan).
+	// Hits/Misses count lookups (Get and the read side of GetOrPlan and
+	// GetOrCost).
 	Hits, Misses int
-	// Planned counts plans computed through GetOrPlan; Deduped counts
-	// callers that waited on another goroutine's in-flight computation
-	// (singleflight); Remote counts plans pulled through the loader (the
-	// cross-gateway owner-pull path) instead of planned locally.
-	// Planned+Remote+Deduped+Hits covers every GetOrPlan call.
-	Planned, Deduped, Remote int
-	// Evictions counts plans dropped by the LRU bound; Size and Limit
-	// describe the current occupancy (Limit 0 = unbounded; a sharded bound is
-	// the per-shard limit times the shard count).
+	// Planned counts step constructions: plans computed by GetOrPlan on a
+	// miss, and steps built for a costed pair (Costed.Plan, or GetOrPlan
+	// hitting a cost-only entry). Costed counts step-free cost passes run by
+	// GetOrCost on a miss. Deduped counts callers that waited on another
+	// goroutine's in-flight computation (singleflight); Remote counts plans
+	// pulled through the loader (the cross-gateway owner-pull path) instead
+	// of computed locally. Every miss of GetOrPlan or GetOrCost is resolved
+	// by exactly one of a full plan, a cost pass, Remote or Deduped.
+	Planned, Costed, Deduped, Remote int
+	// Evictions counts entries dropped by the LRU bound; Size and Limit
+	// describe the current occupancy, cost-only entries included (Limit 0 =
+	// unbounded; a sharded bound is the per-shard limit times the shard
+	// count).
 	Evictions, Size, Limit int
 	// Shards is the shard count (a power of two; 1 for bounded caches).
 	Shards int
@@ -415,6 +577,7 @@ func (c *Cache) Counters() Counters {
 		out.Hits += s.hits
 		out.Misses += s.misses
 		out.Planned += s.planned
+		out.Costed += s.costed
 		out.Deduped += s.deduped
 		out.Remote += s.remote
 		out.Evictions += s.evictions
@@ -427,8 +590,9 @@ func (c *Cache) Counters() Counters {
 
 // PlanTimeStats is a snapshot of the per-pair planning-time telemetry.
 type PlanTimeStats struct {
-	// Count is the exact number of plans computed through GetOrPlan; Total
-	// and Max are the exact sum and maximum of their planning durations.
+	// Count is the exact number of timed planning operations (step
+	// constructions plus cost passes: Planned+Costed); Total and Max are the
+	// exact sum and maximum of their durations.
 	Count      int
 	Total, Max time.Duration
 	// P50/P95/P99 are streaming-digest percentiles (nearest-rank semantics,
@@ -437,7 +601,7 @@ type PlanTimeStats struct {
 }
 
 // PlanTimes summarizes the per-pair planning-time telemetry recorded by
-// GetOrPlan, merging the per-shard streaming digests. O(1) in the number of
+// GetOrPlan, GetOrCost and Costed.Plan, merging the per-shard streaming digests. O(1) in the number of
 // plans: no samples are retained or sorted.
 func (c *Cache) PlanTimes() PlanTimeStats {
 	var merged metrics.DurationDigest
@@ -446,7 +610,7 @@ func (c *Cache) PlanTimes() PlanTimeStats {
 		s := &c.shards[i]
 		s.mu.Lock()
 		d := s.planTimes
-		count += s.planned
+		count += s.planned + s.costed
 		s.mu.Unlock()
 		merged.Merge(&d)
 	}

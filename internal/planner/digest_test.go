@@ -135,3 +135,42 @@ func TestPlanDigest(t *testing.T) {
 		})
 	}
 }
+
+// TestCostMatchesPlan checks the step-free cost pass against the full plan
+// on every ordered pair of the plan-digest corpus: Cost must report the
+// plan's estimate, scratch cost and safeguard decision, and the plan's true
+// cost under the planner's profile.
+func TestCostMatchesPlan(t *testing.T) {
+	models := digestZoo()
+	prof := cost.CPU()
+	small := append([]*model.Graph(nil), models...)
+	sort.SliceStable(small, func(i, j int) bool { return small[i].NumOps() < small[j].NumOps() })
+	small = small[:12]
+
+	cases := []struct {
+		name   string
+		algo   Algorithm
+		relErr float64
+		models []*model.Graph
+	}{
+		{"group/err0", AlgoGroup, 0, models},
+		{"group/err0.3", AlgoGroup, 0.3, models},
+		{"hungarian/err0", AlgoHungarian, 0, small},
+		{"hungarian/err0.3", AlgoHungarian, 0.3, small},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			pl := New(cost.NewEstimator(prof, tc.relErr, 1), tc.algo)
+			for _, src := range tc.models {
+				for _, dst := range tc.models {
+					p := pl.Plan(src, dst)
+					want := Cost{Est: p.EstCost, Scratch: p.ScratchCost, LoadFromScratch: p.LoadFromScratch,
+						True: p.TrueCost(prof, src)}
+					if got := pl.Cost(src, dst); got != want {
+						t.Fatalf("%s→%s: Cost = %+v, plan gives %+v", src.Name, dst.Name, got, want)
+					}
+				}
+			}
+		})
+	}
+}

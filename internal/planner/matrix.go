@@ -47,6 +47,11 @@ func (mx *Matrix) Size() int { return mx.N + mx.M }
 // BuildMatrix constructs the cost matrix for transforming src into dst under
 // the estimator's profiled meta-operator costs.
 func BuildMatrix(est *cost.Estimator, src, dst *model.Graph) *Matrix {
+	return buildMatrix(est.Snapshot(), src, dst)
+}
+
+// buildMatrix is BuildMatrix under one snapshot of the estimates.
+func buildMatrix(est *cost.Snapshot, src, dst *model.Graph) *Matrix {
 	n, m := src.NumOps(), dst.NumOps()
 	size := n + m
 	mx := &Matrix{N: n, M: m, c: make([]float64, size*size)}

@@ -3,6 +3,7 @@ package planner
 import (
 	"fmt"
 	"sync"
+	"time"
 
 	"repro/internal/cost"
 	"repro/internal/metaop"
@@ -62,27 +63,59 @@ func New(est *cost.Estimator, algo Algorithm) *Planner {
 // Estimator returns the planner's cost estimator.
 func (p *Planner) Estimator() *cost.Estimator { return p.est }
 
+// Cost is a pair's plan reduced to what choosing a donor needs: the plan's
+// estimate, its safeguard decision, and what executing it really takes. It
+// is exactly what the full plan would report, computed without its steps.
+type Cost struct {
+	// Est, Scratch and LoadFromScratch are the plan's EstCost, ScratchCost
+	// and LoadFromScratch.
+	Est, Scratch    time.Duration
+	LoadFromScratch bool
+	// True is the plan's execution time under the planner's ground-truth
+	// profile: the plan's TrueCost.
+	True time.Duration
+}
+
+// Rank is the estimate a donor is chosen by: the from-scratch load when the
+// safeguard falls back to it, else the estimated transformation.
+func (c Cost) Rank() time.Duration {
+	if c.LoadFromScratch {
+		return c.Scratch
+	}
+	return c.Est
+}
+
 // Plan computes a transformation plan from src to dst, including the
 // safeguard decision: if the estimated transformation cost exceeds loading
 // dst from scratch, the plan is flagged LoadFromScratch.
 func (p *Planner) Plan(src, dst *model.Graph) *metaop.Plan {
-	si, di := p.index(src), p.index(dst)
-	plan := buildPlan(p.est, si, di, p.mapping(si, di))
-	plan.ScratchCost = di.scratch
-	if plan.EstCost > plan.ScratchCost {
-		plan.LoadFromScratch = true
-	}
+	d := p.draft(src, dst)
+	plan, _ := d.build()
 	return plan
 }
 
-func (p *Planner) mapping(si, di *modelIndex) Mapping {
+// Cost returns the cost of the plan Plan(src, dst) would return, without
+// building its steps.
+func (p *Planner) Cost(src, dst *model.Graph) Cost {
+	d := p.draft(src, dst)
+	return d.cost()
+}
+
+// draft maps src onto dst under one snapshot of the planner's estimates.
+func (p *Planner) draft(src, dst *model.Graph) draft {
+	est := p.est.Snapshot()
+	si, di := p.index(src), p.index(dst)
+	return draft{est: est, si: si, di: di, mp: p.mapping(est, si, di)}
+}
+
+func (p *Planner) mapping(est *cost.Snapshot, si, di *modelIndex) Mapping {
 	switch p.algo {
 	case AlgoHungarian:
-		mx := BuildMatrix(p.est, si.g, di.g)
+		mx := buildMatrix(est, si.g, di.g)
 		rowToCol, _ := hungarian(mx)
 		return mappingFromAssignment(mx, rowToCol)
 	case AlgoBrute:
-		mx := BuildMatrix(p.est, si.g, di.g)
+		mx := buildMatrix(est, si.g, di.g)
 		rowToCol, _ := bruteForce(mx)
 		return mappingFromAssignment(mx, rowToCol)
 	default:
@@ -90,33 +123,40 @@ func (p *Planner) mapping(si, di *modelIndex) Mapping {
 	}
 }
 
-// buildPlan converts an operation mapping into an executable meta-operator
-// plan: substitutions become Replace/Reshape steps, deletions Reduce steps,
+// draft is a mapped pair: the operation mapping and the estimates snapshot
+// it was made under. Costing it and building its steps run the same walk, so
+// steps built long after the pair was costed are the steps Plan would have
+// built at costing time, even if the estimator has learned since.
+type draft struct {
+	est    *cost.Snapshot
+	si, di *modelIndex
+	mp     Mapping
+}
+
+// cost walks the draft's steps without building them.
+func (d *draft) cost() Cost {
+	return d.walk(nil, d.inverse())
+}
+
+// build converts the mapping into an executable meta-operator plan:
+// substitutions become Replace/Reshape steps, deletions Reduce steps,
 // insertions Add steps, and the edge difference under the mapping becomes
 // Edge steps. It counts the steps first and allocates them once, so a plan
 // holds no spare capacity, and a plan with no steps keeps Steps nil.
-func buildPlan(est *cost.Estimator, si, di *modelIndex, mp Mapping) *metaop.Plan {
-	src, dst := si.g, di.g
-	sops, dops := src.Ops(), dst.Ops()
+func (d *draft) build() (*metaop.Plan, Cost) {
+	src, dst := d.si.g, d.di.g
 	plan := &metaop.Plan{
 		SrcName: src.Name, DstName: dst.Name,
-		SrcHash: si.hash, DstHash: di.hash,
+		SrcHash: d.si.hash, DstHash: d.di.hash,
 	}
-
-	// The mapping is injective, so a destination edge (u,v) is kept exactly
-	// when its preimage (dstToSrc[u], dstToSrc[v]) is a source edge; every
-	// other source edge is removed and every other destination edge added.
-	dstToSrc := make([]int, len(dops))
-	for j := range dstToSrc {
-		dstToSrc[j] = -1
-	}
-	n := len(mp.Added)
-	for i, j := range mp.SrcToDst {
+	dstToSrc := d.inverse()
+	sops, dops := src.Ops(), dst.Ops()
+	n := len(d.mp.Added)
+	for i, j := range d.mp.SrcToDst {
 		if j < 0 {
 			n++
 			continue
 		}
-		dstToSrc[j] = i
 		srcOp, dstOp := sops[i], dops[j]
 		switch {
 		case srcOp.Shape == dstOp.Shape && srcOp.WeightsID == dstOp.WeightsID:
@@ -128,30 +168,89 @@ func buildPlan(est *cost.Estimator, si, di *modelIndex, mp Mapping) *metaop.Plan
 			n++
 		}
 	}
-	keptEdge := func(e model.Edge) bool {
-		from, to := dstToSrc[e.From], dstToSrc[e.To]
-		return from >= 0 && to >= 0 && src.HasEdge(from, to)
-	}
 	kept := 0
-	for _, e := range di.edges {
-		if keptEdge(e) {
+	for _, e := range d.di.edges {
+		if d.keptEdge(dstToSrc, e) {
 			kept++
 		}
 	}
-	n += len(si.edges) + len(di.edges) - 2*kept
-	if n == 0 {
-		return plan
+	n += len(d.si.edges) + len(d.di.edges) - 2*kept
+	if n > 0 {
+		plan.Steps = make([]metaop.Step, 0, n)
+	}
+	c := d.walk(plan, dstToSrc)
+	plan.EstCost, plan.ScratchCost, plan.LoadFromScratch = c.Est, c.Scratch, c.LoadFromScratch
+	return plan, c
+}
+
+// inverse returns the mapping's destination-to-source direction (-1 for
+// added destination ops).
+func (d *draft) inverse() []int {
+	dstToSrc := make([]int, d.di.g.NumOps())
+	for j := range dstToSrc {
+		dstToSrc[j] = -1
+	}
+	for i, j := range d.mp.SrcToDst {
+		if j >= 0 {
+			dstToSrc[j] = i
+		}
+	}
+	return dstToSrc
+}
+
+// keptEdge reports whether destination edge e survives from the source. The
+// mapping is injective, so e is kept exactly when its preimage is a source
+// edge; every other source edge is removed and every other destination edge
+// added.
+func (d *draft) keptEdge(dstToSrc []int, e model.Edge) bool {
+	from, to := dstToSrc[e.From], dstToSrc[e.To]
+	return from >= 0 && to >= 0 && d.si.g.HasEdge(from, to)
+}
+
+// walk prices every meta-operator of the draft in step order, and appends
+// the steps to plan when plan is non-nil. Each step's true cost comes from
+// the profile once; its estimate is that cost scaled by the snapshot.
+func (d *draft) walk(plan *metaop.Plan, dstToSrc []int) Cost {
+	sops, dops := d.si.g.Ops(), d.di.g.Ops()
+	prof := d.est.Profile()
+	c := Cost{Scratch: d.di.scratch}
+	// step charges one operation step: i and j are its source and
+	// destination op IDs (-1 when absent), and it acts on the destination
+	// op's type when there is one.
+	step := func(kind metaop.Kind, i, j int, actual time.Duration) {
+		var est time.Duration
+		if j >= 0 {
+			est = d.est.Scale(dops[j].Type, actual)
+		} else {
+			est = d.est.Scale(sops[i].Type, actual)
+		}
+		c.Est += est
+		c.True += actual
+		if plan != nil {
+			plan.Steps = append(plan.Steps, metaop.Step{Kind: kind, SrcID: i, DstID: j, EstCost: est})
+			if j >= 0 {
+				// Materialize the destination op with its destination ID in
+				// place, so executed steps carry correct identifiers.
+				s := &plan.Steps[len(plan.Steps)-1]
+				s.Dst = *dops[j]
+				s.Dst.ID = j
+			}
+		}
+	}
+	edgeCost := prof.EdgeCost(1)
+	edge := func(e model.Edge, add bool) {
+		c.Est += edgeCost
+		c.True += edgeCost
+		if plan != nil {
+			plan.Steps = append(plan.Steps, metaop.Step{Kind: metaop.KindEdge, SrcID: -1, DstID: -1,
+				EdgeFrom: e.From, EdgeTo: e.To, EdgeAdd: add, EstCost: edgeCost})
+		}
 	}
 
-	plan.Steps = make([]metaop.Step, 0, n)
-	add := func(s metaop.Step) {
-		plan.Steps = append(plan.Steps, s)
-		plan.EstCost += s.EstCost
-	}
-	for i, j := range mp.SrcToDst {
+	for i, j := range d.mp.SrcToDst {
 		srcOp := sops[i]
 		if j < 0 {
-			add(metaop.Step{Kind: metaop.KindReduce, SrcID: i, DstID: -1, EstCost: est.ReduceCost(srcOp)})
+			step(metaop.KindReduce, i, -1, prof.ReduceCost(srcOp))
 			continue
 		}
 		dstOp := dops[j]
@@ -159,43 +258,29 @@ func buildPlan(est *cost.Estimator, si, di *modelIndex, mp Mapping) *metaop.Plan
 		case srcOp.Shape == dstOp.Shape && srcOp.WeightsID == dstOp.WeightsID:
 			// Perfect match: zero cost, no step.
 		case srcOp.Shape == dstOp.Shape:
-			add(metaop.Step{Kind: metaop.KindReplace, SrcID: i, DstID: j, Dst: withID(dstOp, j),
-				EstCost: est.ReplaceCost(dstOp)})
+			step(metaop.KindReplace, i, j, prof.ReplaceCost(dstOp))
 		default:
-			add(metaop.Step{Kind: metaop.KindReshape, SrcID: i, DstID: j, Dst: withID(dstOp, j),
-				EstCost: est.ReshapeCost(srcOp, dstOp)})
+			step(metaop.KindReshape, i, j, prof.ReshapeCost(srcOp, dstOp))
 			if dstOp.HasWeights() {
-				add(metaop.Step{Kind: metaop.KindReplace, SrcID: i, DstID: j, Dst: withID(dstOp, j),
-					EstCost: est.ReplaceCost(dstOp)})
+				step(metaop.KindReplace, i, j, prof.ReplaceCost(dstOp))
 			}
 		}
 	}
-	for _, j := range mp.Added {
-		add(metaop.Step{Kind: metaop.KindAdd, SrcID: -1, DstID: j, Dst: withID(dops[j], j),
-			EstCost: est.AddCost(dops[j])})
+	for _, j := range d.mp.Added {
+		step(metaop.KindAdd, -1, j, prof.AddCost(dops[j]))
 	}
-
-	edgeCost := est.EdgeCost(1)
-	for _, e := range si.edges {
-		if from, to := mp.SrcToDst[e.From], mp.SrcToDst[e.To]; from >= 0 && to >= 0 && dst.HasEdge(from, to) {
+	dst := d.di.g
+	for _, e := range d.si.edges {
+		if from, to := d.mp.SrcToDst[e.From], d.mp.SrcToDst[e.To]; from >= 0 && to >= 0 && dst.HasEdge(from, to) {
 			continue
 		}
-		add(metaop.Step{Kind: metaop.KindEdge, SrcID: -1, DstID: -1,
-			EdgeFrom: e.From, EdgeTo: e.To, EdgeAdd: false, EstCost: edgeCost})
+		edge(e, false)
 	}
-	for _, e := range di.edges {
-		if !keptEdge(e) {
-			add(metaop.Step{Kind: metaop.KindEdge, SrcID: -1, DstID: -1,
-				EdgeFrom: e.From, EdgeTo: e.To, EdgeAdd: true, EstCost: edgeCost})
+	for _, e := range d.di.edges {
+		if !d.keptEdge(dstToSrc, e) {
+			edge(e, true)
 		}
 	}
-	return plan
-}
-
-// withID returns a copy of op with its ID set to the destination slot, so
-// executed steps materialize ops with correct destination identifiers.
-func withID(op *model.Operation, id int) model.Operation {
-	cp := *op
-	cp.ID = id
-	return cp
+	c.LoadFromScratch = c.Est > c.Scratch
+	return c
 }

@@ -12,9 +12,9 @@ package policy
 import (
 	"time"
 
-	"repro/internal/metaop"
 	"repro/internal/metrics"
 	"repro/internal/model"
+	"repro/internal/planner"
 	"repro/internal/simulate"
 )
 
@@ -44,7 +44,7 @@ func (OpenWhisk) Serve(env *simulate.Env, n *simulate.Node, fn *simulate.Functio
 	return simulate.Decision{
 		Kind: metrics.StartCold,
 		Init: env.Profile.SandboxInit,
-		Load: env.Profile.ModelLoad(fn.Model).Total(),
+		Load: env.ModelLoad(fn.Model),
 	}, true
 }
 
@@ -65,7 +65,7 @@ func (Pagurus) Serve(env *simulate.Env, n *simulate.Node, fn *simulate.Function,
 	if idle := n.RepurposeCandidates(env, fn, now); len(idle) > 0 {
 		return simulate.Decision{
 			Kind:  metrics.StartTransform,
-			Load:  env.Profile.ModelLoad(fn.Model).Total(),
+			Load:  env.ModelLoad(fn.Model),
 			Reuse: oldestIdle(idle, now),
 		}, true
 	}
@@ -75,7 +75,7 @@ func (Pagurus) Serve(env *simulate.Env, n *simulate.Node, fn *simulate.Function,
 	return simulate.Decision{
 		Kind: metrics.StartCold,
 		Init: env.Profile.SandboxInit,
-		Load: env.Profile.ModelLoad(fn.Model).Total(),
+		Load: env.ModelLoad(fn.Model),
 	}, true
 }
 
@@ -105,7 +105,7 @@ func (t Tetris) Serve(env *simulate.Env, n *simulate.Node, fn *simulate.Function
 		return simulate.Decision{
 			Kind: metrics.StartCold,
 			Init: env.Profile.SandboxInit,
-			Load: env.Profile.ModelLoad(fn.Model).Total(),
+			Load: env.ModelLoad(fn.Model),
 		}, true
 	}
 	forkInit := t.ForkInit
@@ -149,9 +149,10 @@ func (t Tetris) sharedLoad(env *simulate.Env, n *simulate.Node, fn *simulate.Fun
 // Optimus transforms the model inside a warm-but-idle container of another
 // function into the requested model via the cached meta-operator plan
 // (§4.4 Module 3). Among eligible idle containers it picks the cheapest
-// transformation source; the safeguard falls back to loading from scratch
-// inside the reused container (still saving sandbox init) when
-// transformation would be slower.
+// transformation source by the pairs' cached costs, charges the chosen
+// plan's true cost, and builds steps only for that plan; the safeguard
+// falls back to loading from scratch inside the reused container (still
+// saving sandbox init) when transformation would be slower.
 type Optimus struct{}
 
 // Name implements simulate.Policy.
@@ -163,16 +164,16 @@ func (Optimus) Serve(env *simulate.Env, n *simulate.Node, fn *simulate.Function,
 		return d, true
 	}
 	if idle := n.RepurposeCandidates(env, fn, now); len(idle) > 0 {
-		best, plan := pickSource(env, idle, fn)
-		load := plan.TrueCost(env.Profile, best.Fn.Model)
-		if plan.LoadFromScratch {
-			load = env.Profile.ModelLoad(fn.Model).Total()
+		best, k := pickSource(env, idle, fn)
+		load := k.True
+		if k.LoadFromScratch {
+			load = env.ModelLoad(fn.Model)
 		}
 		return simulate.Decision{
 			Kind:  metrics.StartTransform,
 			Load:  load,
 			Reuse: best,
-			Plan:  plan,
+			Plan:  k.Plan(),
 		}, true
 	}
 	if !n.CanPlaceFor(now, env.GrantFor(fn)) {
@@ -181,33 +182,23 @@ func (Optimus) Serve(env *simulate.Env, n *simulate.Node, fn *simulate.Function,
 	return simulate.Decision{
 		Kind: metrics.StartCold,
 		Init: env.Profile.SandboxInit,
-		Load: env.Profile.ModelLoad(fn.Model).Total(),
+		Load: env.ModelLoad(fn.Model),
 	}, true
 }
 
 // pickSource returns the idle container with the cheapest (estimated)
-// transformation into fn's model, with its plan.
-func pickSource(env *simulate.Env, idle []*simulate.Container, fn *simulate.Function) (*simulate.Container, *metaop.Plan) {
+// transformation into fn's model, with the pair's cost. Donors are ranked by
+// cost alone; only the winner's steps are ever built.
+func pickSource(env *simulate.Env, idle []*simulate.Container, fn *simulate.Function) (*simulate.Container, planner.Costed) {
 	var best *simulate.Container
-	var bestPlan *metaop.Plan
+	var bestCost planner.Costed
 	for _, c := range idle {
-		p := env.Plans.GetOrPlan(env.Planner, c.Fn.Model, fn.Model)
-		cost := p.EstCost
-		if p.LoadFromScratch {
-			cost = p.ScratchCost
-		}
-		if bestPlan == nil || cost < bestEstCost(bestPlan) {
-			best, bestPlan = c, p
+		k := env.Plans.GetOrCost(env.Planner, c.Fn.Model, fn.Model)
+		if best == nil || k.Rank() < bestCost.Rank() {
+			best, bestCost = c, k
 		}
 	}
-	return best, bestPlan
-}
-
-func bestEstCost(p *metaop.Plan) time.Duration {
-	if p.LoadFromScratch {
-		return p.ScratchCost
-	}
-	return p.EstCost
+	return best, bestCost
 }
 
 // oldestIdle returns the container idle the longest (Pagurus repurposes the

@@ -960,7 +960,7 @@ func (s *Simulator) superviseDecision(d Decision, fn *Function, node *Node, now 
 			// The pair's breaker is open: skip the doomed transform attempt
 			// entirely and load from scratch (still saving sandbox init).
 			d.Kind = metrics.StartBreaker
-			d.Load = s.env.Profile.ModelLoad(fn.Model).Total()
+			d.Load = s.env.ModelLoad(fn.Model)
 			d.Plan = nil
 			s.collector.Faults.BreakerShortCircuits++
 		} else {
@@ -986,7 +986,7 @@ func (s *Simulator) superviseDecision(d Decision, fn *Function, node *Node, now 
 				// The donor node is inside a flaky window: the transform
 				// aborts and recovers through the safeguard path, and the
 				// health tracker sees the node fail.
-				d.Load = d.Load/2 + s.env.Profile.ModelLoad(fn.Model).Total()
+				d.Load = d.Load/2 + s.env.ModelLoad(fn.Model)
 				d.Kind = metrics.StartFallback
 				s.collector.Faults.FlakyFallbacks++
 				s.breaker.RecordFailure(src, dst, now)
@@ -995,7 +995,7 @@ func (s *Simulator) superviseDecision(d Decision, fn *Function, node *Node, now 
 				// The transformation aborts halfway through and the container
 				// recovers by discarding the partial state and loading the
 				// destination model from scratch (the safeguard's recovery path).
-				d.Load = d.Load/2 + s.env.Profile.ModelLoad(fn.Model).Total()
+				d.Load = d.Load/2 + s.env.ModelLoad(fn.Model)
 				d.Kind = metrics.StartFallback
 				s.TransformsFailed++
 				s.collector.Faults.TransformFallbacks++
@@ -1029,7 +1029,7 @@ func (s *Simulator) superviseDecision(d Decision, fn *Function, node *Node, now 
 func (s *Simulator) superviseHang(d Decision, fn *Function, node *Node, src, dst string, now time.Duration) Decision {
 	s.collector.Faults.Hangs++
 	planned := d.Load
-	fresh := s.env.Profile.ModelLoad(fn.Model).Total()
+	fresh := s.env.ModelLoad(fn.Model)
 	if hd, ok := s.hedgeDeadline(node, fn, now); ok {
 		// A backup transform starts from the next-best donor at the hedge
 		// deadline; whichever recovery finishes first wins, and the loser is

@@ -10,6 +10,7 @@
 package simulate
 
 import (
+	"sync"
 	"time"
 
 	"repro/internal/cost"
@@ -426,6 +427,21 @@ type Env struct {
 	// to return (§4.2's idle identification enriched with the demand
 	// prediction the inter-function sharing systems rely on).
 	MeanInterArrival func(fn string) (time.Duration, bool)
+
+	// loads memoizes ModelLoad per graph (*model.Graph → time.Duration).
+	loads sync.Map
+}
+
+// ModelLoad returns the latency of loading g from scratch under Profile,
+// memoized per graph: graphs are immutable once deployed, and Profile must
+// not change after the first call. Safe for concurrent use.
+func (e *Env) ModelLoad(g *model.Graph) time.Duration {
+	if d, ok := e.loads.Load(g); ok {
+		return d.(time.Duration)
+	}
+	d := e.Profile.ModelLoad(g).Total()
+	e.loads.Store(g, d)
+	return d
 }
 
 // GrantFor returns the memory grant a fresh container for fn receives under

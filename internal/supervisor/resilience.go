@@ -3,6 +3,7 @@ package supervisor
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -151,8 +152,11 @@ type Hedger struct {
 	mu      sync.Mutex
 	cfg     HedgeConfig
 	samples []time.Duration // rolling window, insertion order
-	next    int
-	stats   HedgeStats
+	// sorted holds the window's samples in ascending order, kept in step
+	// with samples so Deadline reads its percentile without sorting.
+	sorted []time.Duration
+	next   int
+	stats  HedgeStats
 }
 
 // NewHedger returns a hedger for the config, or nil when Percentile is unset
@@ -173,13 +177,18 @@ func (h *Hedger) Observe(d time.Duration) {
 	defer h.mu.Unlock()
 	if len(h.samples) < h.cfg.Window {
 		h.samples = append(h.samples, d)
-		return
+	} else {
+		// The window is full: d replaces the oldest sample, in both views.
+		old, _ := slices.BinarySearch(h.sorted, h.samples[h.next])
+		h.sorted = slices.Delete(h.sorted, old, old+1)
+		h.samples[h.next] = d
+		h.next++
+		if h.next == h.cfg.Window {
+			h.next = 0
+		}
 	}
-	h.samples[h.next] = d
-	h.next++
-	if h.next == h.cfg.Window {
-		h.next = 0
-	}
+	at, _ := slices.BinarySearch(h.sorted, d)
+	h.sorted = slices.Insert(h.sorted, at, d)
 }
 
 // Deadline returns the armed hedge deadline — the configured percentile of
@@ -193,7 +202,7 @@ func (h *Hedger) Deadline() (time.Duration, bool) {
 	if len(h.samples) < h.cfg.MinSamples {
 		return 0, false
 	}
-	return metrics.DurationPercentile(h.samples, h.cfg.Percentile), true
+	return metrics.PercentileSorted(h.sorted, h.cfg.Percentile), true
 }
 
 // RecordHedge tallies one hedged start and whether the backup won.

@@ -1,9 +1,12 @@
 package supervisor
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/metrics"
 )
 
 func TestBackoffDisabledIsNil(t *testing.T) {
@@ -110,6 +113,44 @@ func TestHedgerWindowRolls(t *testing.T) {
 	}
 	if d, _ := h.Deadline(); d != time.Second {
 		t.Fatalf("old samples should have rolled out; max = %v, want 1s", d)
+	}
+}
+
+// TestHedgerDeadlineMatchesPercentile is a property test of the hedger's
+// incrementally sorted window: over random configurations and random
+// interleavings of Observe and Deadline, with many duplicate durations,
+// every Deadline equals metrics.DurationPercentile over the last Window
+// observations, and arms exactly when MinSamples have been observed.
+func TestHedgerDeadlineMatchesPercentile(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 200; trial++ {
+		cfg := HedgeConfig{
+			Percentile: []float64{1, 50, 90, 99, 100, 37.5}[rng.Intn(6)],
+			MinSamples: 1 + rng.Intn(8),
+			Window:     1 + rng.Intn(40),
+		}
+		h := NewHedger(cfg)
+		eff := cfg.withDefaults()
+		var seen []time.Duration
+		for op := 0; op < 300; op++ {
+			if rng.Intn(3) > 0 {
+				d := time.Duration(rng.Intn(20)) * time.Millisecond
+				h.Observe(d)
+				seen = append(seen, d)
+				continue
+			}
+			window := seen[max(0, len(seen)-eff.Window):]
+			got, ok := h.Deadline()
+			if wantOK := len(window) >= eff.MinSamples; ok != wantOK {
+				t.Fatalf("trial %d op %d (%+v): armed %v after %d samples, want %v", trial, op, cfg, ok, len(seen), wantOK)
+			}
+			if !ok {
+				continue
+			}
+			if want := metrics.DurationPercentile(window, eff.Percentile); got != want {
+				t.Fatalf("trial %d op %d (%+v): deadline %v, want %v over %v", trial, op, cfg, got, want, window)
+			}
+		}
 	}
 }
 
