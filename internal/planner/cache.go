@@ -369,12 +369,15 @@ func (c *Cache) getOrPlan(pl *Planner, src, dst *model.Graph, loader func(src, d
 }
 
 // Costed is one pair's Cost as the cache holds it. Plan returns the pair's
-// plan, building its steps on first demand.
+// plan, building its steps on first demand. The zero Costed holds no pair.
 type Costed struct {
 	Cost
 	s *cacheShard
 	e *lruEntry
 }
+
+// Valid reports whether k holds a pair (is not the zero Costed).
+func (k Costed) Valid() bool { return k.e != nil }
 
 // Plan returns the costed pair's plan: the cached one, or steps built now
 // from the pair's draft and cached. It counts no lookup and leaves LRU

@@ -2,6 +2,7 @@ package planner
 
 import (
 	"slices"
+	"sync"
 	"time"
 
 	"repro/internal/cost"
@@ -23,8 +24,10 @@ type modelIndex struct {
 	byKey [2][]int32
 	// edges is g.Edges(), sorted by (From, To).
 	edges []model.Edge
-	// hash is g.StructureHash().
-	hash uint64
+	// hashOnce guards hash, g.StructureHash(), computed on first use: only
+	// built plans carry it, so cost passes never hash.
+	hashOnce sync.Once
+	hash     uint64
 	// scratch is the estimated cost of loading g from scratch.
 	scratch time.Duration
 }
@@ -34,7 +37,6 @@ func newModelIndex(est *cost.Estimator, g *model.Graph) *modelIndex {
 	ix := &modelIndex{
 		g:       g,
 		edges:   g.Edges(),
-		hash:    g.StructureHash(),
 		scratch: est.ModelLoad(g),
 	}
 
@@ -69,6 +71,12 @@ func newModelIndex(est *cost.Estimator, g *model.Graph) *modelIndex {
 		ix.byKey[pass] = keyed
 	}
 	return ix
+}
+
+// structureHash returns g.StructureHash(), hashing on first call only.
+func (ix *modelIndex) structureHash() uint64 {
+	ix.hashOnce.Do(func() { ix.hash = ix.g.StructureHash() })
+	return ix.hash
 }
 
 // index returns g's planning index, building it on first use. Concurrent

@@ -147,7 +147,7 @@ func (d *draft) build() (*metaop.Plan, Cost) {
 	src, dst := d.si.g, d.di.g
 	plan := &metaop.Plan{
 		SrcName: src.Name, DstName: dst.Name,
-		SrcHash: d.si.hash, DstHash: d.di.hash,
+		SrcHash: d.si.structureHash(), DstHash: d.di.structureHash(),
 	}
 	dstToSrc := d.inverse()
 	sops, dops := src.Ops(), dst.Ops()

@@ -149,10 +149,11 @@ func (t Tetris) sharedLoad(env *simulate.Env, n *simulate.Node, fn *simulate.Fun
 // Optimus transforms the model inside a warm-but-idle container of another
 // function into the requested model via the cached meta-operator plan
 // (§4.4 Module 3). Among eligible idle containers it picks the cheapest
-// transformation source by the pairs' cached costs, charges the chosen
-// plan's true cost, and builds steps only for that plan; the safeguard
-// falls back to loading from scratch inside the reused container (still
-// saving sandbox init) when transformation would be slower.
+// transformation source by the pairs' cached costs and charges the chosen
+// pair's true cost, handing the engine the pair's cached strategy without
+// building its steps; the safeguard falls back to loading from scratch
+// inside the reused container (still saving sandbox init) when
+// transformation would be slower.
 type Optimus struct{}
 
 // Name implements simulate.Policy.
@@ -170,10 +171,10 @@ func (Optimus) Serve(env *simulate.Env, n *simulate.Node, fn *simulate.Function,
 			load = env.ModelLoad(fn.Model)
 		}
 		return simulate.Decision{
-			Kind:  metrics.StartTransform,
-			Load:  load,
-			Reuse: best,
-			Plan:  k.Plan(),
+			Kind:     metrics.StartTransform,
+			Load:     load,
+			Reuse:    best,
+			Strategy: k,
 		}, true
 	}
 	if !n.CanPlaceFor(now, env.GrantFor(fn)) {
@@ -188,7 +189,7 @@ func (Optimus) Serve(env *simulate.Env, n *simulate.Node, fn *simulate.Function,
 
 // pickSource returns the idle container with the cheapest (estimated)
 // transformation into fn's model, with the pair's cost. Donors are ranked by
-// cost alone; only the winner's steps are ever built.
+// cost alone; no steps are built.
 func pickSource(env *simulate.Env, idle []*simulate.Container, fn *simulate.Function) (*simulate.Container, planner.Costed) {
 	var best *simulate.Container
 	var bestCost planner.Costed

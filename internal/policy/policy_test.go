@@ -143,7 +143,10 @@ func TestOptimusPicksCheapestDonor(t *testing.T) {
 	if d.Reuse == nil || d.Reuse.Fn != similar {
 		t.Errorf("optimus picked donor %v, want the structurally similar one", d.Reuse.Fn.Name)
 	}
-	if d.Plan == nil {
+	if got := env.Plans.Counters().Planned; got != 0 {
+		t.Errorf("Serve built steps for %d pairs on a cold cache, want 0 (costs only)", got)
+	}
+	if !d.Strategy.Valid() || d.Strategy.Plan() == nil {
 		t.Fatal("transform decision missing plan")
 	}
 	if d.Load >= env.Profile.ModelLoad(target.Model).Total() {
@@ -164,7 +167,10 @@ func TestOptimusSafeguardLoadsFreshInDonor(t *testing.T) {
 	if d.Kind != metrics.StartTransform || d.Reuse == nil {
 		t.Fatalf("should still repurpose the container: %+v", d)
 	}
-	if d.Plan == nil || !d.Plan.LoadFromScratch {
+	if got := env.Plans.Counters().Planned; got != 0 {
+		t.Errorf("Serve built steps for %d pairs on a cold cache, want 0 (costs only)", got)
+	}
+	if !d.Strategy.Valid() || !d.Strategy.Plan().LoadFromScratch {
 		t.Fatal("BERT→CNN should be safeguarded")
 	}
 	if d.Load != env.Profile.ModelLoad(target.Model).Total() {

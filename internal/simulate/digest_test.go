@@ -147,3 +147,30 @@ func TestReplayDigest(t *testing.T) {
 		})
 	}
 }
+
+// TestReplayBuildsStepsOnlyWhereRead: a supervised Optimus replay charges
+// transforms from the pairs' cached costs, so it builds no meta-op steps
+// unless something reads them: transformation verification or the online
+// profiling observer.
+func TestReplayBuildsStepsOnlyWhereRead(t *testing.T) {
+	fns := digestFunctions()
+	for _, tc := range []struct {
+		name        string
+		cfg         simulate.Config
+		wantPlanned bool
+	}{
+		{name: "default", cfg: simulate.Config{Nodes: 4}},
+		{name: "verify", cfg: simulate.Config{Nodes: 4, VerifyTransforms: true}, wantPlanned: true},
+		{name: "online-profiling", cfg: simulate.Config{Nodes: 4, OnlineProfiling: 0.2, EstimatorErr: 0.5}, wantPlanned: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, ct := replayDigest(t, tc.cfg, fns)
+			if ct.Costed == 0 {
+				t.Fatalf("counters %+v: replay costed no pairs", ct)
+			}
+			if got := ct.Planned > 0; got != tc.wantPlanned {
+				t.Errorf("counters %+v: built steps = %v, want %v", ct, got, tc.wantPlanned)
+			}
+		})
+	}
+}

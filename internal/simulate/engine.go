@@ -936,11 +936,12 @@ func (s *Simulator) serveOrQueue(node *Node, fr *fnRuntime, arrival time.Duratio
 	}
 }
 
-// transformPair names the (src→dst) model pair a transform decision acts on,
-// for circuit-breaker bookkeeping.
+// transformPair names the (src→dst) pair a transform decision acts on, for
+// circuit-breaker bookkeeping: the donor and destination models of a planned
+// transformation (the names its plan carries), else the two functions.
 func transformPair(d Decision, fn *Function) (src, dst string) {
-	if d.Plan != nil {
-		return d.Plan.SrcName, d.Plan.DstName
+	if d.Strategy.Valid() {
+		return d.Reuse.Fn.Model.Name, fn.Model.Name
 	}
 	return d.Reuse.Fn.Name, fn.Name
 }
@@ -961,7 +962,7 @@ func (s *Simulator) superviseDecision(d Decision, fn *Function, node *Node, now 
 			// entirely and load from scratch (still saving sandbox init).
 			d.Kind = metrics.StartBreaker
 			d.Load = s.env.ModelLoad(fn.Model)
-			d.Plan = nil
+			d.Strategy = planner.Costed{}
 			s.collector.Faults.BreakerShortCircuits++
 		} else {
 			if s.inj.Fire(faults.Flaky) {
@@ -1110,15 +1111,15 @@ func (s *Simulator) serve(node *Node, fr *fnRuntime, arrival time.Duration, retr
 			d.Kind = metrics.StartFanout
 		}
 	}
-	if s.cfg.VerifyTransforms && d.Plan != nil && d.Reuse != nil {
-		if err := metaop.Verify(s.env.Profile, d.Plan, d.Reuse.Fn.Model, fn.Model); err != nil {
+	if s.cfg.VerifyTransforms && d.Strategy.Valid() && d.Reuse != nil {
+		if err := metaop.Verify(s.env.Profile, d.Strategy.Plan(), d.Reuse.Fn.Model, fn.Model); err != nil {
 			//optimus:allow panicpath — cross-check oracle: executed transformation contradicts its plan
 			panic(fmt.Sprintf("simulate: transformation verification failed: %v", err))
 		}
 		s.TransformsVerified++
 	}
-	if s.cfg.OnlineProfiling > 0 && d.Plan != nil && d.Reuse != nil && !d.Plan.LoadFromScratch {
-		s.observeExecution(d.Plan, d.Reuse.Fn.Model)
+	if s.cfg.OnlineProfiling > 0 && d.Strategy.Valid() && d.Reuse != nil && !d.Strategy.LoadFromScratch {
+		s.observeExecution(d.Strategy.Plan(), d.Reuse.Fn.Model)
 	}
 	d = s.superviseDecision(d, fn, node, now)
 

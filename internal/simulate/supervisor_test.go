@@ -141,6 +141,74 @@ func TestBreakerHalfOpenProbeCloses(t *testing.T) {
 	}
 }
 
+// TestBreakerKeysOptimusByModelPagurusByFunction: with function names that
+// differ from their model names, an Optimus transform opens and closes the
+// breaker under its (donor model, destination model) pair, the names its
+// plan carries, while a Pagurus repurposing keys by the two functions.
+func TestBreakerKeysOptimusByModelPagurusByFunction(t *testing.T) {
+	const (
+		fnA, fnB       = "fn-a", "fn-b"
+		modelA, modelB = "resnet18-imagenet", "resnet34-imagenet"
+	)
+	newOnline := func(p simulate.Policy, rates faults.Rates) *simulate.Online {
+		fns := testFunctions(t, modelA, modelB)
+		fns[0].Name, fns[1].Name = fnA, fnB
+		return simulate.NewOnline(simulate.Config{
+			Policy: p, Nodes: 1, ContainersPerNode: 1, Faults: rates,
+			Breaker: supervisor.BreakerConfig{Threshold: 1, Cooldown: time.Minute},
+		}, fns)
+	}
+	// invokePair serves fnA cold, then fnB by repurposing fnA's container.
+	invokePair := func(o *simulate.Online) metrics.Record {
+		t.Helper()
+		if _, err := o.Invoke(fnA, 0); err != nil {
+			t.Fatal(err)
+		}
+		rec, err := o.Invoke(fnB, 2*time.Minute)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rec
+	}
+	for _, tc := range []struct {
+		policy   simulate.Policy
+		key, not [2]string
+	}{
+		{policy.Optimus{}, [2]string{modelA, modelB}, [2]string{fnA, fnB}},
+		{policy.Pagurus{}, [2]string{fnA, fnB}, [2]string{modelA, modelB}},
+	} {
+		t.Run(tc.policy.Name(), func(t *testing.T) {
+			// Opens: a failing transform trips the breaker under tc.key.
+			o := newOnline(tc.policy, faults.Rates{Transform: 1})
+			if rec := invokePair(o); rec.Kind != metrics.StartFallback {
+				t.Fatalf("failing transform kind = %v, want fallback", rec.Kind)
+			}
+			b := o.Breaker()
+			if st := b.State(tc.key[0], tc.key[1]); st != supervisor.BreakerOpen {
+				t.Errorf("state under %v = %v, want open", tc.key, st)
+			}
+			if st := b.State(tc.not[0], tc.not[1]); st != supervisor.BreakerClosed {
+				t.Errorf("state under %v = %v, want untouched", tc.not, st)
+			}
+
+			// Closes: a breaker seeded open under tc.key admits the next
+			// transform as its half-open probe, whose success closes it.
+			o = newOnline(tc.policy, faults.Rates{})
+			b = o.Breaker()
+			b.RecordFailure(tc.key[0], tc.key[1], 0)
+			if rec := invokePair(o); rec.Kind != metrics.StartTransform {
+				t.Fatalf("probe kind = %v, want transform", rec.Kind)
+			}
+			if st := b.State(tc.key[0], tc.key[1]); st != supervisor.BreakerClosed {
+				t.Errorf("post-probe state under %v = %v, want closed", tc.key, st)
+			}
+			if bs := b.Stats(); bs.Probes != 1 || bs.Closes != 1 {
+				t.Errorf("breaker stats = %+v, want 1 probe, 1 close", bs)
+			}
+		})
+	}
+}
+
 // TestHangWithAndWithoutWatchdog: an injected hang without a watchdog stalls
 // the transform for HangFactor× its plan but still completes it; with a
 // watchdog it is cancelled at Factor× the plan and charged the safeguard

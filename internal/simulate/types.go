@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"repro/internal/cost"
-	"repro/internal/metaop"
 	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/planner"
@@ -387,9 +386,11 @@ type Decision struct {
 	// Reuse, when non-nil, is the existing container that serves the
 	// request; nil means a new container is created.
 	Reuse *Container
-	// Plan, when non-nil, is the transformation plan behind a
-	// model-transformation decision (used for verification and Fig 15).
-	Plan *metaop.Plan
+	// Strategy, when valid, is the cached transformation strategy behind a
+	// model-transformation decision. Load is charged from its Cost; its
+	// steps are built only where something reads them (verification and
+	// online profiling).
+	Strategy planner.Costed
 }
 
 // MemoryMode selects how container memory is allocated (§6 Limitation 1).
