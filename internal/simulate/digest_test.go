@@ -3,6 +3,7 @@ package simulate_test
 import (
 	"encoding/binary"
 	"fmt"
+	"hash"
 	"hash/fnv"
 	"slices"
 	"testing"
@@ -10,6 +11,7 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/health"
+	"repro/internal/metrics"
 	"repro/internal/planner"
 	"repro/internal/policy"
 	"repro/internal/simulate"
@@ -84,19 +86,29 @@ func replayDigest(t *testing.T, cfg simulate.Config, fns []*simulate.Function) (
 	recs := col.Records()
 	put(int64(len(recs)))
 	for _, r := range recs {
-		put(int64(len(r.Function)))
-		h.Write([]byte(r.Function))
-		for _, v := range []time.Duration{r.Arrival, r.Start, r.End, r.Wait, r.Init, r.Load, r.Compute} {
-			put(int64(v))
-		}
-		put(int64(r.Kind))
-		put(int64(r.Retries))
+		hashRecord(h, r)
 	}
 	fmt.Fprintf(h, "%+v", col.Faults)
 	if col.Faults.HedgedTransforms == 0 || col.Faults.BreakerShortCircuits == 0 && col.Faults.TransformFallbacks == 0 {
 		t.Errorf("replay exercised too little supervision: %+v", col.Faults)
 	}
 	return h.Sum64(), sim.Env().Plans.Counters()
+}
+
+// hashRecord folds every field of r into h.
+func hashRecord(h hash.Hash64, r metrics.Record) {
+	var buf [8]byte
+	put := func(v int64) {
+		binary.LittleEndian.PutUint64(buf[:], uint64(v))
+		h.Write(buf[:])
+	}
+	put(int64(len(r.Function)))
+	h.Write([]byte(r.Function))
+	for _, v := range []time.Duration{r.Arrival, r.Start, r.End, r.Wait, r.Init, r.Load, r.Compute} {
+		put(int64(v))
+	}
+	put(int64(r.Kind))
+	put(int64(r.Retries))
 }
 
 type lookups struct{ hits, misses, evictions int }
@@ -170,6 +182,80 @@ func TestReplayBuildsStepsOnlyWhereRead(t *testing.T) {
 			}
 			if got := ct.Planned > 0; got != tc.wantPlanned {
 				t.Errorf("counters %+v: built steps = %v, want %v", ct, got, tc.wantPlanned)
+			}
+		})
+	}
+}
+
+// onlineTrace is the Online digest workload: 12 h of MixedPoisson over the
+// six indexTestNames functions (1,122 requests).
+func onlineTrace() *workload.Trace {
+	return workload.MixedPoisson(indexTestNames, 12*time.Hour, 11)
+}
+
+// invokeTrace feeds every request of tr to a fresh Online server at its
+// trace timestamp and returns each result in order.
+func invokeTrace(t *testing.T, cfg simulate.Config, tr *workload.Trace) (*simulate.Online, []metrics.Record, []error) {
+	t.Helper()
+	o := simulate.NewOnline(cfg, testFunctions(t, indexTestNames...))
+	recs := make([]metrics.Record, len(tr.Requests))
+	errs := make([]error, len(tr.Requests))
+	for i, r := range tr.Requests {
+		recs[i], errs[i] = o.Invoke(r.Function, r.At)
+	}
+	return o, recs, errs
+}
+
+// TestOnlineDigest pins every Invoke result (record and error) and the final
+// fault tallies of Online serving over the digest trace, under a plain
+// Optimus cluster, the full supervised fault mix, and a crash-heavy Pagurus
+// cluster that drops requests. The digests were computed before Online was
+// rebuilt on the replay engine's start step; that rebuild, and any later
+// change to the serving path, must reproduce them exactly.
+func TestOnlineDigest(t *testing.T) {
+	cases := []struct {
+		name string
+		cfg  simulate.Config
+		want uint64
+		// dropped reports whether the configuration must drop requests.
+		dropped bool
+	}{
+		{name: "optimus", cfg: simulate.Config{Policy: policy.Optimus{}, Nodes: 2, ContainersPerNode: 2}, want: 0x52f9c659ad8710c},
+		{name: "supervised-faults", cfg: simulate.Config{
+			Policy: policy.Optimus{}, Nodes: 4, ContainersPerNode: 2, Seed: 11,
+			Faults: faults.Rates{Transform: 0.05, Load: 0.05, Crash: 0.05, Outage: 0.01,
+				Slow: 0.02, Flaky: 0.03, Bandwidth: 0.03, Hang: 0.1},
+			WatchdogFactor: 2,
+			Breaker:        supervisor.BreakerConfig{Threshold: 2, Cooldown: 10 * time.Minute},
+			Retry:          supervisor.BackoffConfig{Base: 50 * time.Millisecond},
+			Hedge:          supervisor.HedgeConfig{Percentile: 90},
+			Health:         healthConfig(),
+		}, want: 0xad3ca05f9d954763},
+		{name: "pagurus-crash", cfg: simulate.Config{
+			Policy: policy.Pagurus{}, Nodes: 3, ContainersPerNode: 1, Seed: 11,
+			Faults: faults.Rates{Crash: 0.2},
+		}, want: 0x2c15cf5715ae7815, dropped: true},
+	}
+	tr := onlineTrace()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			o, recs, errs := invokeTrace(t, tc.cfg, tr)
+			h := fnv.New64a()
+			for i, r := range recs {
+				hashRecord(h, r)
+				if errs[i] != nil {
+					h.Write([]byte(errs[i].Error()))
+				}
+				h.Write([]byte{0})
+			}
+			var fs metrics.FaultStats
+			o.ReadCollector(func(col *metrics.Collector) { fs = col.Faults })
+			fmt.Fprintf(h, "%+v", fs)
+			if got := fs.Dropped > 0; got != tc.dropped {
+				t.Errorf("dropped %d requests, want drops = %v (%+v)", fs.Dropped, tc.dropped, fs)
+			}
+			if got := h.Sum64(); got != tc.want {
+				t.Errorf("online digest = %#x, want %#x (faults %+v)", got, tc.want, fs)
 			}
 		})
 	}
