@@ -139,13 +139,15 @@ benchtest:
 
 # fuzz runs a short native-fuzzing smoke over the plan executor (whole and
 # truncated planner output), the lint-directive parser, the call-graph
-# builder, and the Azure-trace CSV reader.
+# builder, the Azure-trace CSV reader, and the routing cross-check (indexed vs
+# scanning router, with health and crash/outage faults on one fuzz bit).
 fuzz:
 	$(GO) test -fuzz='^FuzzPlanApply$$' -fuzztime=10s -run '^$$' ./internal/planner
 	$(GO) test -fuzz='^FuzzPlanTruncated$$' -fuzztime=10s -run '^$$' ./internal/planner
 	$(GO) test -fuzz='^FuzzDirectiveParse$$' -fuzztime=10s -run '^$$' ./internal/analysis
 	$(GO) test -fuzz='^FuzzCallGraph$$' -fuzztime=10s -run '^$$' ./internal/analysis
 	$(GO) test -fuzz='^FuzzAzureCSV$$' -fuzztime=10s -run '^$$' ./internal/workload
+	$(GO) test -fuzz='^FuzzRouteCrossCheck$$' -fuzztime=10s -run '^$$' ./internal/simulate
 
 # check is the pre-merge gate: formatting, static analysis (go vet plus the
 # project linter with its JSON gate), a full build, the test suite under the

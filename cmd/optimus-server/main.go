@@ -56,7 +56,6 @@ func main() {
 	)
 	ff := cliutil.RegisterFaultFlags(flag.CommandLine, true)
 	rf := cliutil.RegisterResilienceFlags(flag.CommandLine)
-	fo := cliutil.RegisterFanoutFlags(flag.CommandLine)
 	cp := cliutil.RegisterControlPlaneFlags(flag.CommandLine)
 	flag.Parse()
 
@@ -65,10 +64,6 @@ func main() {
 		os.Exit(2)
 	}
 	if err := rf.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	if err := fo.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
@@ -121,9 +116,6 @@ func main() {
 			Health: rf.HealthConfig(),
 			Retry:  rf.BackoffConfig(),
 			Hedge:  rf.HedgeConfig(),
-			// Fan-out trees only trigger in trace-replay mode; the flags are
-			// still accepted here so all binaries validate them identically.
-			Fanout: fo.Config(),
 		},
 		Repository:     store,
 		RequestTimeout: *reqTimeout,

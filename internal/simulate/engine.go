@@ -651,8 +651,16 @@ func (s *Simulator) schedule(ev event) {
 	s.events.push(ev)
 }
 
-// arrive routes a new request to a node and tries to serve it.
+// arrive admits a new request and dispatches it.
 func (s *Simulator) arrive(fr *fnRuntime, arrival time.Duration) {
+	s.admit(fr, arrival)
+	s.dispatch(fr, arrival, 0)
+}
+
+// admit is the arrival prelude replay and Online share: the inter-arrival
+// EWMA update, then the per-arrival outage and slow-window draws against the
+// routed node.
+func (s *Simulator) admit(fr *fnRuntime, arrival time.Duration) {
 	s.observeArrival(fr, arrival)
 	if s.inj.Fire(faults.Outage) {
 		s.failNode(s.routeFor(fr))
@@ -660,7 +668,6 @@ func (s *Simulator) arrive(fr *fnRuntime, arrival time.Duration) {
 	if s.inj.Fire(faults.Slow) {
 		s.slowNode(s.routeFor(fr))
 	}
-	s.dispatch(fr, arrival, 0)
 }
 
 // slowNode opens (or extends) a gray slow window on the node: it keeps
@@ -677,18 +684,24 @@ func (s *Simulator) slowNode(n *Node) {
 func (s *Simulator) dispatch(fr *fnRuntime, arrival time.Duration, retries int) {
 	node := s.routeFor(fr)
 	if node.Down(s.clock) {
-		// The router only returns a down node when the whole candidate set
-		// is down; park until the earliest recovery.
-		at := node.DownUntil
-		for _, n := range fr.cands {
-			if n.DownUntil < at {
-				at = n.DownUntil
-			}
-		}
+		at := firstRecovery(fr, node).DownUntil
 		s.schedule(event{at: at, kind: evDispatch, fr: fr, arrival: arrival, retries: retries})
 		return
 	}
 	s.serveOrQueue(node, fr, arrival, retries)
+}
+
+// firstRecovery returns the candidate of fr that comes back up first, the
+// routed node on ties. The routers return a down node only when every
+// candidate is down, so this is the earliest time the request can run.
+func firstRecovery(fr *fnRuntime, routed *Node) *Node {
+	first := routed
+	for _, n := range fr.cands {
+		if n.DownUntil < first.DownUntil {
+			first = n
+		}
+	}
+	return first
 }
 
 // failNode takes a node down for the configured outage duration: resident
@@ -733,17 +746,31 @@ func (s *Simulator) failNode(n *Node) {
 // re-dispatch is delayed by the seeded exponential backoff instead of firing
 // immediately.
 func (s *Simulator) retryOrDrop(in inflight) {
-	if in.retries >= s.cfg.MaxRetries {
+	d, ok := s.retryBudget(in.retries)
+	switch {
+	case !ok:
+	case d > 0:
+		s.schedule(event{at: s.clock + d, kind: evDispatch, fr: in.fr, arrival: in.arrival, retries: in.retries + 1})
+	default:
+		s.dispatch(in.fr, in.arrival, in.retries+1)
+	}
+}
+
+// retryBudget charges one more attempt to a request that has already been
+// retried `retries` times. Past the budget it counts the request dropped and
+// reports false; otherwise it counts the retry and returns the seeded backoff
+// delay before re-dispatch (zero for an immediate retry).
+func (s *Simulator) retryBudget(retries int) (time.Duration, bool) {
+	if retries >= s.cfg.MaxRetries {
 		s.collector.Faults.Dropped++
-		return
+		return 0, false
 	}
 	s.collector.Faults.Retries++
-	if d := s.backoff.Delay(in.retries); d > 0 {
+	d := s.backoff.Delay(retries)
+	if d > 0 {
 		s.collector.Faults.BackoffRetries++
-		s.schedule(event{at: s.clock + d, kind: evDispatch, fr: in.fr, arrival: in.arrival, retries: in.retries + 1})
-		return
 	}
-	s.dispatch(in.fr, in.arrival, in.retries+1)
+	return d, true
 }
 
 // unroutable reports whether routing should skip the node at now: down from
@@ -775,12 +802,17 @@ func (s *Simulator) routeFor(fr *fnRuntime) *Node {
 	return picked
 }
 
+// downScore ranks a down node below every up one. Routing scores the full
+// candidate set when all of it is unroutable, and a down node is empty, so
+// its free capacity would otherwise outscore a quarantined node that is up.
+const downScore = -4_000_000
+
 // route picks the best candidate node for fn: a warm idle container wins,
 // then a repurposable idle container, then free capacity, finally the
-// shortest queue. Among otherwise-equal nodes the function's hash-derived
-// "home" node within its candidate set wins, so a function placed on a
-// multi-node cluster keeps warm-container locality instead of fragmenting
-// containers across the cluster.
+// shortest queue; a down node comes last. Among otherwise-equal nodes the
+// function's hash-derived "home" node within its candidate set wins, so a
+// function placed on a multi-node cluster keeps warm-container locality
+// instead of fragmenting containers across the cluster.
 //
 // This is the legacy scanning router: O(containers) per candidate node. It
 // serves the Online path, the RouteScan baseline, and the CrossCheckRouting
@@ -794,6 +826,8 @@ func (s *Simulator) route(fn *Function) *Node {
 	for _, n := range cands {
 		score := 0
 		switch {
+		case n.Down(now):
+			score = downScore
 		case n.WarmIdle(fn, now) != nil:
 			score = 3_000_000
 		case n.HasIdleOther(fn, now, s.env.IdleThreshold):
@@ -841,13 +875,14 @@ func (s *Simulator) routeIndexed(fr *fnRuntime) *Node {
 	// p = 10·queue + busy ≥ 0; every other node scores ≤ 3M − p_other ≤ 3M.
 	// With p_home < 500_000 the home score is strictly above 3M, and a tie
 	// would need p_other = p_home − 500_000 < 0 — impossible. The guard keeps
-	// exactness even under pathological queue lengths, and the rare
-	// partly-down case falls through to the full scan.
+	// exactness even under pathological queue lengths; the rare partly-down
+	// case, and a down home (which scores downScore), fall through to the
+	// full scan.
 	if all {
 		home := cands[homeIdx]
 		ix := home.idx
 		ix.expire(now)
-		if ix.warmAt(ord) > 0 && len(home.queue)*10+ix.busy < 500_000 {
+		if ix.warmAt(ord) > 0 && len(home.queue)*10+ix.busy < 500_000 && !home.Down(now) {
 			return home
 		}
 	}
@@ -862,6 +897,8 @@ func (s *Simulator) routeIndexed(fr *fnRuntime) *Node {
 		ix.expire(now)
 		score := 0
 		switch {
+		case n.Down(now):
+			score = downScore
 		case ix.warmAt(ord) > 0:
 			score = 3_000_000
 		case ix.matureTotal-int(ix.matureAt(ord)) > 0:
@@ -1091,16 +1128,42 @@ func (s *Simulator) hedgeDeadline(node *Node, fn *Function, now time.Duration) (
 	return hd, true
 }
 
-// serve asks the policy for a decision and, if possible, executes it:
-// charging latencies, occupying the container, and scheduling completion.
+// serve runs the start step at the current clock and keeps a started request
+// in flight: the index transition, the watchdog lease, and the completion
+// event — or, after a crash draw, the crash event that re-dispatches the
+// request within its retry budget (wasted time surfaces as extra wait).
 func (s *Simulator) serve(node *Node, fr *fnRuntime, arrival time.Duration, retries int) bool {
-	now := s.clock
+	c, _, crashed := s.start(node, fr, arrival, s.clock, retries)
+	if c == nil {
+		return false
+	}
+	c.serving, c.hasServing = inflight{fr: fr, arrival: arrival, retries: retries}, true
+	c.crashPending = crashed
+	node.noteStartService(c, fr.ord)
+	s.watchdog.Lease(c.ID, c.BusyUntil)
+	kind := evComplete
+	if crashed {
+		kind = evCrash
+	}
+	s.schedule(event{at: c.BusyUntil, kind: kind, node: node, c: c})
+	return true
+}
+
+// start is the request path replay and Online share (§4.2–§4.4): it asks
+// the policy for a decision on node at now and executes it — verifying and
+// profiling the chosen plan, supervising it, placing or resizing the
+// container, inflating service inside a slow window, and drawing a crash.
+// c is nil when the policy cannot serve (everything busy). Otherwise c is
+// busy until its service ends and rec is collected — unless crashed, when
+// c is busy only until the crash point halfway through service and no
+// record exists yet.
+func (s *Simulator) start(node *Node, fr *fnRuntime, arrival, now time.Duration, retries int) (c *Container, rec metrics.Record, crashed bool) {
 	fn := fr.fn
 	node.expireIndex(now)
 	node.EvictExpired(now, s.env.KeepAlive)
 	d, ok := s.cfg.Policy.Serve(s.env, node, fn, now)
 	if !ok {
-		return false
+		return nil, rec, false
 	}
 	if d.Reuse != nil && d.Reuse.fanoutFresh {
 		// First service of a replica warmed by a fan-out tree: a warm reuse
@@ -1123,7 +1186,7 @@ func (s *Simulator) serve(node *Node, fr *fnRuntime, arrival time.Duration, retr
 	}
 	d = s.superviseDecision(d, fn, node, now)
 
-	c := d.Reuse
+	c = d.Reuse
 	if c == nil {
 		c = node.newContainer(fn, s.env.GrantFor(fn), now)
 	} else if s.env.MemoryMode == MemoryFineGrained {
@@ -1143,40 +1206,29 @@ func (s *Simulator) serve(node *Node, fr *fnRuntime, arrival time.Duration, retr
 	}
 	service := d.Init + d.Load + compute
 	if s.inj.Fire(faults.Crash) {
-		// The container dies halfway through serving: it is lost at the
-		// crash point and the request re-dispatched (or dropped once its
-		// retry budget runs out). Wasted time surfaces as extra wait.
-		crashAt := now + service/2
-		c.BusyUntil = crashAt
-		c.serving, c.hasServing = inflight{fr: fr, arrival: arrival, retries: retries}, true
-		c.crashPending = true
-		node.noteStartService(c, fr.ord)
-		s.watchdog.Lease(c.ID, crashAt)
+		// The container dies halfway through serving; the caller decides how
+		// the request recovers.
+		c.BusyUntil = now + service/2
 		s.collector.Faults.Crashes++
 		s.health.ObserveFailure(node.ID, now)
-		s.schedule(event{at: crashAt, kind: evCrash, node: node, c: c})
-		return true
+		return c, rec, true
 	}
 	s.health.ObserveServed(node.ID, now, service)
-	end := now + service
-	c.BusyUntil = end
-	c.serving, c.hasServing = inflight{fr: fr, arrival: arrival, retries: retries}, true
-	node.noteStartService(c, fr.ord)
-	s.watchdog.Lease(c.ID, end)
-	s.collector.Add(metrics.Record{
+	c.BusyUntil = now + service
+	rec = metrics.Record{
 		Function: fn.Name,
 		Kind:     d.Kind,
 		Arrival:  arrival,
 		Start:    now,
-		End:      end,
+		End:      c.BusyUntil,
 		Wait:     now - arrival,
 		Init:     d.Init,
 		Load:     d.Load,
 		Compute:  compute,
 		Retries:  retries,
-	})
-	s.schedule(event{at: end, kind: evComplete, node: node, c: c})
-	return true
+	}
+	s.collector.Add(rec)
+	return c, rec, false
 }
 
 // crash destroys a container at its crash point and re-dispatches the

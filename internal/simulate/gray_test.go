@@ -1,6 +1,7 @@
 package simulate_test
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -10,6 +11,7 @@ import (
 	"repro/internal/policy"
 	"repro/internal/simulate"
 	"repro/internal/supervisor"
+	"repro/internal/workload"
 )
 
 func healthConfig() health.Config {
@@ -335,5 +337,73 @@ func TestCheckpointRestoreReconcilesHealth(t *testing.T) {
 	})
 	if _, err := o3.Invoke(names[0], now); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAllUnroutableWaitsOnlyWhenAllDown is the regression test for the
+// all-unroutable park: with one candidate node quarantined (but up) and the
+// other down from an outage, the router used to pick the empty down node,
+// whose free capacity outscored the quarantined one. Replay then parked the
+// request until the "first recovery" of the quarantined node — a time
+// already past — and livelocked with its clock stuck; Online returned
+// records starting before they arrived. Both routers now rank down nodes
+// below every up node, so the recovery wait runs only when every candidate
+// is down.
+func TestAllUnroutableWaitsOnlyWhenAllDown(t *testing.T) {
+	names := []string{"resnet18-imagenet", "resnet34-imagenet", "resnet50-imagenet", "vgg16-imagenet"}
+	fns := testFunctions(t, names...)
+	tr := workload.MixedPoisson(names, 30*time.Minute, 11)
+	cfg := simulate.Config{
+		Policy: policy.Optimus{}, Nodes: 2, ContainersPerNode: 2, Seed: 7,
+		Faults:            faults.Rates{Crash: 0.3, Outage: 0.02},
+		Health:            healthConfig(),
+		CrossCheckRouting: true,
+	}
+	checkRecords := func(t *testing.T, recs []metrics.Record) {
+		t.Helper()
+		for _, r := range recs {
+			if r.Start < r.Arrival || r.Wait < 0 {
+				t.Fatalf("record starts before it arrives: %+v", r)
+			}
+		}
+	}
+
+	t.Run("replay", func(t *testing.T) {
+		type result struct {
+			col *metrics.Collector
+			err error
+		}
+		done := make(chan result, 1)
+		sim := simulate.New(cfg, fns)
+		go func() {
+			col, err := sim.Run(tr)
+			done <- result{col, err}
+		}()
+		select {
+		case r := <-done:
+			if r.err != nil {
+				t.Fatal(r.err)
+			}
+			checkRecords(t, r.col.Records())
+			if r.col.Len()+r.col.Faults.Dropped != tr.Len() {
+				t.Fatalf("served %d + dropped %d != %d arrivals", r.col.Len(), r.col.Faults.Dropped, tr.Len())
+			}
+		case <-time.After(20 * time.Second):
+			t.Fatal("replay did not finish: a parked request livelocks the engine")
+		}
+	})
+	for _, seed := range []int64{7, 9} {
+		t.Run(fmt.Sprintf("online-seed-%d", seed), func(t *testing.T) {
+			c := cfg
+			c.Seed = seed
+			o := simulate.NewOnline(c, fns)
+			var recs []metrics.Record
+			for _, r := range tr.Requests {
+				if rec, err := o.Invoke(r.Function, r.At); err == nil {
+					recs = append(recs, rec)
+				}
+			}
+			checkRecords(t, recs)
+		})
 	}
 }

@@ -12,7 +12,7 @@ import "time"
 //
 // After expire(now) has run, for every indexed node:
 //
-//	busy            == #{c : c.BusyUntil > now}
+//	busy            == #{c : c.Busy(now)}
 //	busyMB          == Σ c.MemMB over busy containers
 //	warm[ord(f)]    == #{c : c.Fn == f, not busy}
 //	mature[ord(f)]  == #{c : c.Fn == f, not busy, now-c.LastDone ≥ minIdle}
@@ -228,8 +228,8 @@ func (ix *nodeIndex) expire(now time.Duration) {
 	for len(ix.timers) > 0 && ix.timers[0].at <= now {
 		t := ix.timers.pop()
 		c := t.c
-		if c.idxState != idxBusy || c.BusyUntil != t.at {
-			continue // container re-served, removed, or crashed
+		if c.idxState != idxBusy || c.BusyUntil != t.at || c.crashPending {
+			continue // re-served, removed, or busy until its crash event
 		}
 		ix.busy--
 		ix.busyMB -= c.MemMB

@@ -220,11 +220,17 @@ func TestCrossCheckKeepAliveBoundary(t *testing.T) {
 }
 
 // FuzzRouteCrossCheck drives the cross-checked simulator with fuzz-chosen
-// workload shape and cluster geometry; any index/scan divergence panics.
+// workload shape and cluster geometry; any index/scan divergence panics. The
+// top bit of nodes turns on health tracking with crash and outage faults, so
+// routing also meets quarantined and down nodes. Every run must record each
+// arrival once (served or dropped), never starting before it arrived.
 func FuzzRouteCrossCheck(f *testing.F) {
 	f.Add(int64(1), uint8(2), uint8(3), uint16(120))
 	f.Add(int64(42), uint8(1), uint8(1), uint16(30))
 	f.Add(int64(7), uint8(4), uint8(2), uint16(600))
+	// A retry reused a container at the instant of its own pending crash,
+	// and the crash then lost the request the container had been serving.
+	f.Add(int64(-346), uint8(0x94), uint8(2), uint16(716))
 	f.Fuzz(func(t *testing.T, seed int64, nodes, caps uint8, horizonMin uint16) {
 		n := int(nodes%4) + 1
 		c := int(caps%4) + 1
@@ -234,13 +240,26 @@ func FuzzRouteCrossCheck(f *testing.F) {
 		if tr.Len() > 20000 {
 			t.Skip("trace too large for fuzz iteration")
 		}
-		sim := simulate.New(simulate.Config{
+		cfg := simulate.Config{
 			Policy: policy.Optimus{}, Nodes: n, ContainersPerNode: c,
 			Seed:              seed,
 			CrossCheckRouting: true,
-		}, fns)
-		if _, err := sim.Run(tr); err != nil {
+		}
+		if nodes&0x80 != 0 {
+			cfg.Health = healthConfig()
+			cfg.Faults = faults.Rates{Crash: 0.3, Outage: 0.02}
+		}
+		col, err := simulate.New(cfg, fns).Run(tr)
+		if err != nil {
 			t.Fatal(err)
+		}
+		for _, r := range col.Records() {
+			if r.Start < r.Arrival {
+				t.Fatalf("record starts before it arrives: %+v", r)
+			}
+		}
+		if col.Len()+col.Faults.Dropped != tr.Len() {
+			t.Fatalf("served %d + dropped %d != %d arrivals", col.Len(), col.Faults.Dropped, tr.Len())
 		}
 	})
 }

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/faults"
 	"repro/internal/health"
 	"repro/internal/metrics"
 	"repro/internal/supervisor"
@@ -116,6 +115,11 @@ func (o *Online) ReadCollector(f func(*metrics.Collector)) {
 // Injected faults (package faults) degrade the request: failed transforms
 // fall back to a from-scratch load, crashed containers cause bounded
 // retries, and a request that exhausts its retry budget returns an error.
+//
+// Invoke drives the replay engine's own steps (admit, routeFor, start,
+// retryBudget) and differs from replay only where DESIGN.md "Online vs
+// replay" lists: it waits eagerly instead of queueing, retries a crash
+// inline, and sets LastDone at serve time.
 func (o *Online) Invoke(name string, now time.Duration) (metrics.Record, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -129,118 +133,48 @@ func (o *Online) Invoke(name string, now time.Duration) (metrics.Record, error) 
 	}
 	s.clock = now
 	fr := s.rt(fn)
-	s.observeArrival(fr, now)
-	if s.inj.Fire(faults.Outage) {
-		s.outageOnline(s.route(fn), now)
-	}
-	if s.inj.Fire(faults.Slow) {
-		s.slowNode(s.route(fn))
-	}
-	node := s.route(fn)
-
+	s.admit(fr, now)
+	node := s.routeFor(fr)
 	start := now
-	retries := 0
-	for {
+	for retries := 0; ; {
 		if node.Down(start) {
 			// Every candidate node is out: wait for the first recovery.
-			for _, n := range s.candidates(fn) {
-				if n.DownUntil < node.DownUntil {
-					node = n
-				}
-			}
+			node = firstRecovery(fr, node)
 			start = node.DownUntil
 		}
-		node.EvictExpired(start, s.env.KeepAlive)
-		d, ok := s.cfg.Policy.Serve(s.env, node, fn, start)
-		if ok {
-			d = s.superviseDecision(d, fn, node, start)
-			c := d.Reuse
-			if c == nil {
-				c = node.newContainer(fn, s.env.GrantFor(fn), start)
-			} else if s.env.MemoryMode == MemoryFineGrained {
-				c.MemMB = s.env.GrantFor(fn)
-			}
-			c.Fn = fn
-			compute := s.computeFor(fr)
-			if node.Slow(start) {
-				// Inside a gray slow window every component inflates alike,
-				// mirroring the trace engine.
-				f := s.cfg.SlowFactor
-				d.Init = time.Duration(float64(d.Init) * f)
-				d.Load = time.Duration(float64(d.Load) * f)
-				compute = time.Duration(float64(compute) * f)
-			}
-			service := d.Init + d.Load + compute
-			if s.inj.Fire(faults.Crash) {
-				// The container dies mid-request; retry from the crash
-				// point on a freshly routed node, or give up once the
-				// budget is spent.
-				c.dead = true
-				node.Remove(c)
-				s.collector.Faults.Crashes++
-				s.health.ObserveFailure(node.ID, start)
-				if retries >= s.cfg.MaxRetries {
-					s.collector.Faults.Dropped++
-					return metrics.Record{}, fmt.Errorf("simulate: %q failed %d attempts: %w", name, retries+1, ErrRequestDropped)
+		c, rec, crashed := s.start(node, fr, now, start, retries)
+		switch {
+		case c == nil:
+			// Everything busy: jump to the node's earliest completion.
+			next := time.Duration(-1)
+			for _, ct := range node.Containers {
+				if ct.BusyUntil > start && (next < 0 || ct.BusyUntil < next) {
+					next = ct.BusyUntil
 				}
-				s.collector.Faults.Retries++
-				if delay := s.backoff.Delay(retries); delay > 0 {
-					// The deterministic retry backoff holds the re-dispatch
-					// instead of hammering the next node immediately.
-					s.collector.Faults.BackoffRetries++
-					start += delay
-				}
-				retries++
-				start += service / 2
-				node = s.route(fn)
-				continue
 			}
-			s.health.ObserveServed(node.ID, start, service)
-			end := start + service
-			c.BusyUntil = end
-			c.LastDone = end
-			rec := metrics.Record{
-				Function: fn.Name,
-				Kind:     d.Kind,
-				Arrival:  now,
-				Start:    start,
-				End:      end,
-				Wait:     start - now,
-				Init:     d.Init,
-				Load:     d.Load,
-				Compute:  compute,
-				Retries:  retries,
+			if next < 0 {
+				return metrics.Record{}, fmt.Errorf("simulate: node %d cannot serve %q", node.ID, name)
 			}
-			s.collector.Add(rec)
+			start = next
+		case crashed:
+			// The container dies mid-request; retry from the crash point on a
+			// freshly routed node, or give up once the budget is spent.
+			c.dead = true
+			node.Remove(c)
+			delay, ok := s.retryBudget(retries)
+			if !ok {
+				return metrics.Record{}, fmt.Errorf("simulate: %q failed %d attempts: %w", name, retries+1, ErrRequestDropped)
+			}
+			retries++
+			start = c.BusyUntil + delay
+			node = s.routeFor(fr)
+		default:
+			// No completion event will run: the container is idle from the
+			// end of its service on.
+			c.LastDone = rec.End
 			return rec, nil
 		}
-		// Everything busy: jump to the node's earliest completion.
-		next := time.Duration(-1)
-		for _, c := range node.Containers {
-			if c.BusyUntil > start && (next < 0 || c.BusyUntil < next) {
-				next = c.BusyUntil
-			}
-		}
-		if next < 0 {
-			return metrics.Record{}, fmt.Errorf("simulate: node %d cannot serve %q", node.ID, name)
-		}
-		start = next
 	}
-}
-
-// outageOnline takes a node down in interactive mode: resident containers
-// are lost and later invocations route around the node until it recovers.
-// Records already returned to callers keep their precomputed latencies.
-func (s *Simulator) outageOnline(n *Node, now time.Duration) {
-	n.DownUntil = now + s.cfg.OutageDuration
-	for _, c := range n.Containers {
-		c.dead = true
-		c.hasServing = false
-		s.watchdog.Expire(c.ID)
-	}
-	n.Containers = nil
-	s.collector.Faults.Outages++
-	s.health.ObserveFailure(n.ID, now)
 }
 
 // Breaker exposes the transform circuit breaker (nil when disabled).

@@ -5,6 +5,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fanout"
+	"repro/internal/faults"
 	"repro/internal/metrics"
 	"repro/internal/policy"
 	"repro/internal/simulate"
@@ -116,4 +118,113 @@ func TestFunctionsSorted(t *testing.T) {
 	if !sort.StringsAreSorted(got) {
 		t.Errorf("Functions() not sorted: %v", got)
 	}
+}
+
+// TestOnlineAgreesWithReplay is the first pair of the differential harness:
+// fed the digest trace's timestamps, Online.Invoke must return exactly the
+// records replay's Run collects, record for record, wherever no request
+// waits. Crash faults are left out on purpose: Online retries a crashed
+// request inline while replay schedules the crash as an event, so the two
+// draw their randomness in different orders (see DESIGN.md "Online vs
+// replay").
+func TestOnlineAgreesWithReplay(t *testing.T) {
+	gray := faults.Rates{Transform: 0.05, Load: 0.05, Hang: 0.1, Slow: 0.02, Flaky: 0.03, Bandwidth: 0.03}
+	cases := []struct {
+		name string
+		cfg  simulate.Config
+		// transforms pins how many requests start by transformation (the
+		// Pagurus kind included), so each case keeps exercising repurposing.
+		transforms int
+	}{
+		{name: "optimus", cfg: simulate.Config{Policy: policy.Optimus{}, Nodes: 2, ContainersPerNode: 3}, transforms: 86},
+		{name: "pagurus", cfg: simulate.Config{Policy: policy.Pagurus{}, Nodes: 2, ContainersPerNode: 3}, transforms: 67},
+		{name: "gray-watchdog", cfg: simulate.Config{Policy: policy.Optimus{}, Nodes: 2, ContainersPerNode: 3, Seed: 5,
+			Faults: gray, WatchdogFactor: 2}, transforms: 73},
+		{name: "outage", cfg: simulate.Config{Policy: policy.Optimus{}, Nodes: 3, ContainersPerNode: 3, Seed: 5,
+			Faults: faults.Rates{Outage: 0.01}}, transforms: 81},
+	}
+	tr := onlineTrace()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			col, err := simulate.New(tc.cfg, testFunctions(t, indexTestNames...)).Run(tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := col.Records()
+			o, got, errs := invokeTrace(t, tc.cfg, tr)
+			if len(want) != len(got) {
+				t.Fatalf("replay recorded %d requests, Online served %d", len(want), len(got))
+			}
+			transforms := 0
+			for i, r := range want {
+				if errs[i] != nil {
+					t.Fatalf("request %d: %v", i, errs[i])
+				}
+				if r.Wait != 0 {
+					t.Fatalf("request %d waited %v: the configuration no longer isolates the no-wait case", i, r.Wait)
+				}
+				if got[i] != r {
+					t.Fatalf("request %d: Online %+v, replay %+v", i, got[i], r)
+				}
+				if r.Kind == metrics.StartTransform {
+					transforms++
+				}
+			}
+			if transforms != tc.transforms {
+				t.Errorf("%d transforms, want %d", transforms, tc.transforms)
+			}
+			var fs metrics.FaultStats
+			o.ReadCollector(func(c *metrics.Collector) { fs = c.Faults })
+			if fs != col.Faults {
+				t.Errorf("fault tallies: Online %+v, replay %+v", fs, col.Faults)
+			}
+			if tc.cfg.Faults != (faults.Rates{}) && fs == (metrics.FaultStats{}) {
+				t.Error("the fault rates injected nothing")
+			}
+		})
+	}
+}
+
+// TestOnlineSetsLastDoneAtServe pins a deliberate divergence from replay:
+// Online has no completion event, so a served container's LastDone is its
+// service end from the moment it is served, while replay rewrites LastDone
+// only when the completion fires.
+func TestOnlineSetsLastDoneAtServe(t *testing.T) {
+	o := newOnline(t, 1, "resnet18-imagenet")
+	rec, err := o.Invoke("resnet18-imagenet", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := o.Snapshot(0)[0].Containers[0]
+	if !c.Busy(0) || c.LastDone != rec.End {
+		t.Fatalf("container busy until %v, LastDone %v; want LastDone %v while busy", c.BusyUntil, c.LastDone, rec.End)
+	}
+}
+
+// TestOnlineNeverFansOut pins a deliberate divergence from replay: Online
+// never queues (a request that finds no free container waits eagerly), so
+// the per-node queue threshold that starts a fan-out tree is never crossed,
+// even with fan-out configured and a burst that makes replay build a tree.
+func TestOnlineNeverFansOut(t *testing.T) {
+	fns, tr := fanoutBurst(t, 16)
+	cfg := fanoutConfig(fanout.Config{Threshold: 2})
+	replay, _ := runFanout(t, cfg, fns, tr)
+	if replay.Fanout.Trees == 0 {
+		t.Fatal("the burst no longer starts a fan-out tree in replay")
+	}
+	o := simulate.NewOnline(cfg, fns)
+	for _, r := range tr.Requests {
+		rec, err := o.Invoke(r.Function, r.At)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.Kind == metrics.StartFanout {
+			t.Fatalf("Online served a fan-out replica: %+v", rec)
+		}
+	}
+	o.ReadCollector(func(col *metrics.Collector) {
+		if col.Fanout != (metrics.FanoutStats{}) {
+			t.Errorf("Online recorded fan-out activity: %+v", col.Fanout)
+		}
+	})
 }

@@ -82,8 +82,10 @@ type inflight struct {
 	retries int
 }
 
-// Busy reports whether the container is serving a request at time now.
-func (c *Container) Busy(now time.Duration) bool { return c.BusyUntil > now }
+// Busy reports whether the container is serving a request at time now. A
+// container whose service ends in a crash stays busy through its crash point:
+// it dies there, so a request arriving at that very instant must not reuse it.
+func (c *Container) Busy(now time.Duration) bool { return c.BusyUntil > now || c.crashPending }
 
 // IdleFor returns how long the container has been idle at time now
 // (zero if busy).
