@@ -25,6 +25,29 @@ func BenchmarkGroupSameFamily(b *testing.B) {
 func BenchmarkGroupCrossFamily(b *testing.B) {
 	benchPair(b, AlgoGroup, "vgg16-imagenet", "densenet121-imagenet")
 }
+
+// benchCost times a warm-index cost pass: the work a plan-cache miss does
+// for a pair whose models were seen before.
+func benchCost(b *testing.B, src, dst string) {
+	img := zoo.Imgclsmob()
+	s, d := img.MustGet(src), img.MustGet(dst)
+	pl := New(cost.Exact(cost.CPU()), AlgoGroup)
+	pl.Cost(s, d) // warm the index
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if pl.Cost(s, d).True <= 0 {
+			b.Fatal("free transformation")
+		}
+	}
+}
+
+func BenchmarkCostSameFamily(b *testing.B) {
+	benchCost(b, "resnet50-imagenet", "resnet101-imagenet")
+}
+func BenchmarkCostCrossFamily(b *testing.B) {
+	benchCost(b, "vgg16-imagenet", "densenet121-imagenet")
+}
 func BenchmarkHungarianSameFamily(b *testing.B) {
 	benchPair(b, AlgoHungarian, "resnet50-imagenet", "resnet101-imagenet")
 }

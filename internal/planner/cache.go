@@ -39,12 +39,13 @@ import (
 //
 // Donor selection needs only a pair's Cost, so an entry can hold a pair
 // before its plan exists: GetOrCost on a miss runs the planner's step-free
-// cost pass and keeps the pair's draft (its operation mapping and the
-// estimates snapshot it was costed under). The steps are built from that
-// draft on first demand (Costed.Plan, or GetOrPlan on the pair), so they are
-// the steps a plan built at costing time would have had. A cost-only entry
-// counts against the bound and is evicted like any other; Get and Len see
-// only entries whose steps exist.
+// cost pass and keeps what the pair's mapping depends on (both planning
+// indexes, the solver and the estimates snapshot it was costed under), but
+// not the mapping itself. The steps are built on first demand (Costed.Plan,
+// or GetOrPlan on the pair) from a mapping recomputed under that snapshot,
+// so they are the steps a plan built at costing time would have had. A
+// cost-only entry counts against the bound and is evicted like any other;
+// Get and Len see only entries whose steps exist.
 type Cache struct {
 	shards []cacheShard
 	mask   uint64
@@ -122,8 +123,9 @@ type lruEntry struct {
 	// cost is the pair's Cost when costed is set.
 	cost   Cost
 	costed bool
-	// draft builds the steps of a costed pair whose plan is still nil.
-	draft      *draft
+	// pairing builds the steps of a costed pair whose plan is still nil;
+	// zero once they are built.
+	pairing    pairing
 	prev, next *lruEntry
 }
 
@@ -254,14 +256,14 @@ func (s *cacheShard) lookup(k cacheKey) (*lruEntry, bool) {
 }
 
 // insert must be called with s.mu held; it stores (or refreshes) the pair's
-// plan, cost and draft from v and applies the LRU bound.
+// plan, cost and pairing from v and applies the LRU bound.
 func (s *cacheShard) insert(k cacheKey, v lruEntry) *lruEntry {
 	e, ok := s.m[k]
 	if !ok {
 		e = &lruEntry{key: k}
 		s.m[k] = e
 	}
-	e.plan, e.cost, e.costed, e.draft = v.plan, v.cost, v.costed, v.draft
+	e.plan, e.cost, e.costed, e.pairing = v.plan, v.cost, v.costed, v.pairing
 	s.moveToFront(e)
 	if ok {
 		return e
@@ -313,7 +315,7 @@ func (c *Cache) Put(src, dst *model.Graph, p *metaop.Plan) {
 
 // GetOrPlan returns the cached plan, pulls it through the loader (when one is
 // installed), or computes and caches one with pl. A pair that is only costed
-// gets its steps built from its draft. Concurrent calls for the same pair
+// gets its steps built from its pairing. Concurrent calls for the same pair
 // resolve it exactly once: the first caller loads or plans, the rest wait
 // for its result (singleflight).
 func (c *Cache) GetOrPlan(pl *Planner, src, dst *model.Graph) *metaop.Plan {
@@ -354,7 +356,7 @@ func (c *Cache) getOrPlan(pl *Planner, src, dst *model.Graph, loader func(src, d
 	}
 
 	t0 := time.Now() //optimus:allow wallclock — telemetry: measures real planning cost, never enters simulated time
-	d := pl.draft(src, dst)
+	d := pl.pairing(src, dst).draft()
 	p, cst := d.build()
 	took := time.Since(t0) //optimus:allow wallclock — telemetry: pairs with the time.Now above
 
@@ -380,16 +382,17 @@ type Costed struct {
 func (k Costed) Valid() bool { return k.e != nil }
 
 // Plan returns the costed pair's plan: the cached one, or steps built now
-// from the pair's draft and cached. It counts no lookup and leaves LRU
+// from the pair's pairing and cached. It counts no lookup and leaves LRU
 // recency alone, and it works even if the pair was evicted since it was
 // costed.
 func (k Costed) Plan() *metaop.Plan { return k.s.steps(k.e) }
 
 // GetOrCost returns the Cost of src→dst: from the cached entry, from a plan
 // pulled through the loader (when one is installed), or from the planner's
-// step-free cost pass, whose draft the cache keeps for building the steps
-// later. It touches hit/miss counters and LRU recency exactly as GetOrPlan
-// does, and a pair whose plan is cached takes its Cost from that plan.
+// step-free cost pass, whose pairing the cache keeps for building the
+// steps later. It touches hit/miss counters and LRU recency exactly as
+// GetOrPlan does, and a pair whose plan is cached takes its Cost from that
+// plan.
 // Concurrent calls for the same pair resolve it once (singleflight, shared
 // with GetOrPlan).
 func (c *Cache) GetOrCost(pl *Planner, src, dst *model.Graph) Costed {
@@ -420,12 +423,13 @@ func (c *Cache) GetOrCost(pl *Planner, src, dst *model.Graph) Costed {
 	}
 
 	t0 := time.Now() //optimus:allow wallclock — telemetry: measures real planning cost, never enters simulated time
-	d := pl.draft(src, dst)
+	pr := pl.pairing(src, dst)
+	d := pr.draft()
 	cst := d.cost()
 	took := time.Since(t0) //optimus:allow wallclock — telemetry: pairs with the time.Now above
 
 	s.mu.Lock()
-	e := s.insert(k, lruEntry{cost: cst, costed: true, draft: &d})
+	e := s.insert(k, lruEntry{cost: cst, costed: true, pairing: pr})
 	f.entry = e
 	delete(s.flights, k)
 	s.costed++
@@ -457,21 +461,23 @@ func (s *cacheShard) load(k cacheKey, f *flight, loader func(src, dst *model.Gra
 	return e
 }
 
-// steps returns e's plan, building it from e's draft if it has none yet.
-// Concurrent builders may race; the first to publish wins.
+// steps returns e's plan, building it from e's pairing if it has none yet:
+// the mapping is recomputed into a local draft, so the entry never holds
+// one. Concurrent builders may race; the first to publish wins.
 func (s *cacheShard) steps(e *lruEntry) *metaop.Plan {
 	s.mu.Lock()
-	p, d := e.plan, e.draft
+	p, pr := e.plan, e.pairing
 	s.mu.Unlock()
 	if p != nil {
 		return p
 	}
 	t0 := time.Now() //optimus:allow wallclock — telemetry: measures real planning cost, never enters simulated time
+	d := pr.draft()
 	p, _ = d.build()
 	took := time.Since(t0) //optimus:allow wallclock — telemetry: pairs with the time.Now above
 	s.mu.Lock()
 	if e.plan == nil {
-		e.plan, e.draft = p, nil
+		e.plan, e.pairing = p, pairing{}
 		s.planned++
 		s.planTimes.Observe(took)
 	} else {

@@ -119,9 +119,15 @@ func TestCostFromCachedPlan(t *testing.T) {
 
 // TestCostedStepsUnderLearning: steps built for a costed pair after the
 // estimator has learned online are the steps a plan built at costing time
-// had — the entry keeps the estimates snapshot it was costed under — for the
-// group matcher and for Hungarian, whose mapping itself reads the estimates.
+// had — the entry keeps the estimates snapshot it was costed under, not the
+// mapping, and the mapping is recomputed under that snapshot — for the group
+// matcher and for Hungarian, whose mapping itself reads the estimates.
+// Concurrent first demands (run it under -race) all return that plan, and
+// its steps are built once.
 func TestCostedStepsUnderLearning(t *testing.T) {
+	if reaches(reflect.TypeOf(lruEntry{}), reflect.TypeOf(Mapping{}), map[reflect.Type]bool{}) {
+		t.Fatal("a cache entry can hold a Mapping")
+	}
 	m := costModels()
 	for _, algo := range []Algorithm{AlgoGroup, AlgoHungarian} {
 		t.Run(algo.String(), func(t *testing.T) {
@@ -132,17 +138,66 @@ func TestCostedStepsUnderLearning(t *testing.T) {
 			src, dst := m[4], m[0] // bert-tiny → resnet18: every step kind
 			before := pl.Plan(src, dst)
 			k := c.GetOrCost(pl, src, dst)
+			if k.e.plan != nil || k.e.pairing.si == nil {
+				t.Fatal("GetOrCost left an entry with steps, or without its pairing")
+			}
 			for _, typ := range model.AllOpTypes() {
 				est.Observe(typ, time.Millisecond, 3*time.Millisecond)
 			}
 			if reflect.DeepEqual(pl.Plan(src, dst), before) {
 				t.Fatal("learning did not change the plan; the test proves nothing")
 			}
-			if got := k.Plan(); !reflect.DeepEqual(got, before) {
+			plans := make([]*metaop.Plan, 8)
+			var wg sync.WaitGroup
+			for g := range plans {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					plans[g] = k.Plan()
+				}(g)
+			}
+			wg.Wait()
+			for _, got := range plans {
+				if got != plans[0] {
+					t.Fatal("concurrent Costed.Plan calls returned different plan objects")
+				}
+			}
+			if !reflect.DeepEqual(plans[0], before) {
 				t.Fatal("steps built after learning differ from the plan at costing time")
+			}
+			if ct := c.Counters(); ct.Planned != 1 {
+				t.Fatalf("counters %+v, want the steps counted as built once", ct)
+			}
+			if k.e.pairing.si != nil {
+				t.Fatal("the entry kept its pairing after its steps were built")
 			}
 		})
 	}
+}
+
+// reaches reports whether a value of type from can hold a value of type
+// target, through fields, pointers, slices, arrays and maps.
+func reaches(from, target reflect.Type, seen map[reflect.Type]bool) bool {
+	if from == target {
+		return true
+	}
+	if seen[from] {
+		return false
+	}
+	seen[from] = true
+	switch from.Kind() {
+	case reflect.Struct:
+		for i := 0; i < from.NumField(); i++ {
+			if reaches(from.Field(i).Type, target, seen) {
+				return true
+			}
+		}
+	case reflect.Pointer, reflect.Slice, reflect.Array, reflect.Chan:
+		return reaches(from.Elem(), target, seen)
+	case reflect.Map:
+		return reaches(from.Key(), target, seen) || reaches(from.Elem(), target, seen)
+	}
+	return false
 }
 
 // TestCostRecencyMatchesPlan: over a random access sequence on a bounded

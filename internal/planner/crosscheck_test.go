@@ -64,7 +64,7 @@ func TestCrosscheckHungarianBrute(t *testing.T) {
 					t.Errorf("mapping cost hungarian %v != brute %v", hNode, bNode)
 				}
 				pl := New(est, AlgoGroup)
-				gNode := MappingCost(est, src, dst, groupMapping(est, pl.index(src), pl.index(dst)))
+				gNode := MappingCost(est, src, dst, groupMapping(est.Profile(), pl.index(src), pl.index(dst)))
 				if gNode < hNode-1e-9 {
 					t.Errorf("group mapping (%v) beat the optimal assignment (%v)", gNode, hNode)
 				}

@@ -174,3 +174,36 @@ func TestCostMatchesPlan(t *testing.T) {
 		})
 	}
 }
+
+// TestKeyOrderIndependence indexes the plan-digest corpus into one planner
+// in catalog order and into another in reverse order, so the two intern the
+// match keys under different IDs. The group matcher pairs ops only within
+// equal keys, so both must produce the same plans.
+func TestKeyOrderIndependence(t *testing.T) {
+	models := digestZoo()
+	for _, relErr := range []float64{0, 0.3} {
+		t.Run(fmt.Sprintf("group/err%g", relErr), func(t *testing.T) {
+			fwd := New(cost.NewEstimator(cost.CPU(), relErr, 1), AlgoGroup)
+			rev := New(cost.NewEstimator(cost.CPU(), relErr, 1), AlgoGroup)
+			for i := range models {
+				fwd.index(models[i])
+				rev.index(models[len(models)-1-i])
+			}
+			if len(fwd.keys) != len(rev.keys) {
+				t.Fatalf("forward interned %d keys, reverse %d", len(fwd.keys), len(rev.keys))
+			}
+			same := 0
+			for k, id := range fwd.keys {
+				if rev.keys[k] == id {
+					same++
+				}
+			}
+			if same > len(fwd.keys)/10 {
+				t.Fatalf("%d of %d keys have the same ID in both orders; the test proves little", same, len(fwd.keys))
+			}
+			if a, b := digestAll(fwd, models), digestAll(rev, models); a != b {
+				t.Errorf("plan digest %s in catalog key order, %s in reverse key order", a, b)
+			}
+		})
+	}
+}

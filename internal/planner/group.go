@@ -1,11 +1,6 @@
 package planner
 
-import (
-	"cmp"
-
-	"repro/internal/cost"
-	"repro/internal/model"
-)
+import "repro/internal/cost"
 
 // groupMapping implements the efficient group-based transformation algorithm
 // of §4.4 Module 2⁺ in O(n+m):
@@ -22,10 +17,14 @@ import (
 // two downstream heads); (2) identical shape (Replace only); (3) remaining
 // ops sequentially in topological order (Reshape), exploiting the
 // monotone-shape observation. Passes 1 and 2 pair the r-th unused
-// destination op of a key with the r-th unused source op of the same key,
-// both in topological order: a merge-join over the indexes' key-sorted op
-// lists. Types never interact, so each pass runs over all types at once.
-func groupMapping(est *cost.Estimator, si, di *modelIndex) Mapping {
+// destination op of a (type, shape) key with the r-th unused source op of
+// the same key (in pass 1, also of the same weights), both in topological
+// order. Keys never interact, so these passes run key by key over a
+// merge-join of the two indexes' sorted keys, and keys only one model has
+// are skipped whole; pass 3 runs over all types at once. Keys are interned
+// integers shared by every index of the planner; since ops pair only within
+// equal keys, the order keys were interned in does not affect the mapping.
+func groupMapping(prof *cost.Profile, si, di *modelIndex) Mapping {
 	sops, dops := si.g.Ops(), di.g.Ops()
 	srcToDst := make([]int, len(sops))
 	for i := range srcToDst {
@@ -40,36 +39,51 @@ func groupMapping(est *cost.Estimator, si, di *modelIndex) Mapping {
 		pairs++
 	}
 
-	for pass := range si.byKey {
-		ss, ds := si.byKey[pass], di.byKey[pass]
-		a, b := 0, 0
-		for a < len(ss) && b < len(ds) {
-			i, j := ss[a], ds[b]
-			if srcToDst[i] >= 0 {
-				a++
-				continue
+	sr, dr := si.runs, di.runs
+	for a, b := 0, 0; a < len(sr)-1 && b < len(dr)-1; {
+		switch {
+		case sr[a].key < dr[b].key:
+			a++
+		case sr[a].key > dr[b].key:
+			b++
+		default:
+			s0, s1, d0, d1 := sr[a].start, sr[a+1].start, dr[b].start, dr[b+1].start
+			// Pass 1 is the key's first, so no op is used yet: a merge-join
+			// on the weights.
+			ss, ds := si.byWeights[s0:s1], di.byWeights[d0:d1]
+			for i, j := 0, 0; i < len(ss) && j < len(ds); {
+				switch w, v := sops[ss[i]].WeightsID, dops[ds[j]].WeightsID; {
+				case w < v:
+					i++
+				case w > v:
+					j++
+				default:
+					pair(ss[i], ds[j])
+					i++
+					j++
+				}
 			}
-			if matched[j] {
-				b++
-				continue
+			ss, ds = si.byShape[s0:s1], di.byShape[d0:d1]
+			for i, j := 0, 0; i < len(ss) && j < len(ds); {
+				switch {
+				case srcToDst[ss[i]] >= 0:
+					i++
+				case matched[ds[j]]:
+					j++
+				default:
+					pair(ss[i], ds[j])
+					i++
+					j++
+				}
 			}
-			switch c := compareKey(sops[i], dops[j], pass); {
-			case c < 0:
-				a++
-			case c > 0:
-				b++
-			default:
-				pair(i, j)
-				a++
-				b++
-			}
+			a++
+			b++
 		}
 	}
 
 	// Final pass: remaining ops sequentially in topological order, skipping
 	// pairs the profile rules un-reshapeable (extreme size ratios); those
 	// destinations fall through to Add and the sources to Reduce.
-	prof := est.Profile()
 	for t := 0; t < min(len(si.byType), len(di.byType)); t++ {
 		ss := si.byType[t]
 		a := 0
@@ -98,31 +112,4 @@ func groupMapping(est *cost.Estimator, si, di *modelIndex) Mapping {
 		}
 	}
 	return mp
-}
-
-// compareKey orders operations by the group matcher's key for a pass: type
-// and shape, and in pass 0 also the weights identity. Equal keys mean a
-// substitution needs no Reshape (and, in pass 0, no work at all), so the
-// matcher pairs those first.
-func compareKey(a, b *model.Operation, pass int) int {
-	if c := cmp.Compare(a.Type, b.Type); c != 0 {
-		return c
-	}
-	sa, sb := &a.Shape, &b.Shape
-	if c := cmp.Compare(sa.KernelH, sb.KernelH); c != 0 {
-		return c
-	}
-	if c := cmp.Compare(sa.KernelW, sb.KernelW); c != 0 {
-		return c
-	}
-	if c := cmp.Compare(sa.InChannels, sb.InChannels); c != 0 {
-		return c
-	}
-	if c := cmp.Compare(sa.OutChannels, sb.OutChannels); c != 0 {
-		return c
-	}
-	if c := cmp.Compare(sa.Stride, sb.Stride); c != 0 || pass != 0 {
-		return c
-	}
-	return cmp.Compare(a.WeightsID, b.WeightsID)
 }

@@ -1,11 +1,11 @@
 package planner
 
 import (
+	"cmp"
 	"slices"
 	"sync"
 	"time"
 
-	"repro/internal/cost"
 	"repro/internal/model"
 )
 
@@ -18,10 +18,16 @@ type modelIndex struct {
 	// byType[t] lists the IDs of the ops of type t in topological order (the
 	// group matcher's per-type groups and its sequential final pass).
 	byType [][]int32
-	// byKey[pass] lists every op ID in topological order, stably sorted by
-	// the pass's match key (see compareKey): the merge-join order of the
-	// group matcher's first two passes.
-	byKey [2][]int32
+	// runs lists the match keys of g's ops in ascending order, each with
+	// where its ops start in byWeights and byShape; a final entry holds
+	// their length. byShape lists each key's ops in topological order,
+	// byWeights the same ops stably sorted by WeightsID: the group
+	// matcher's first two passes.
+	runs               []keyRun
+	byWeights, byShape []int32
+	// addCost[j] is the true cost of adding op j under the planner's
+	// profile.
+	addCost []time.Duration
 	// edges is g.Edges(), sorted by (From, To).
 	edges []model.Edge
 	// hashOnce guards hash, g.StructureHash(), computed on first use: only
@@ -32,12 +38,24 @@ type modelIndex struct {
 	scratch time.Duration
 }
 
-func newModelIndex(est *cost.Estimator, g *model.Graph) *modelIndex {
+// keyRun is one match key of a model and where its ops start.
+type keyRun struct {
+	key   uint32
+	start int32
+}
+
+// matchKey is what two ops must share to be matched without a Reshape.
+type matchKey struct {
+	typ   model.OpType
+	shape model.Shape
+}
+
+func (p *Planner) newModelIndex(g *model.Graph) *modelIndex {
 	order := topoOrder(g)
 	ix := &modelIndex{
 		g:       g,
 		edges:   g.Edges(),
-		scratch: est.ModelLoad(g),
+		scratch: p.est.ModelLoad(g),
 	}
 
 	// One backing array holds the per-type groups back to back: a stable
@@ -63,12 +81,42 @@ func newModelIndex(est *cost.Estimator, g *model.Graph) *modelIndex {
 		ix.byType[t] = append(ix.byType[t], int32(id))
 	}
 
-	for pass := range ix.byKey {
-		keyed := append([]int32(nil), byType...)
-		slices.SortStableFunc(keyed, func(a, b int32) int {
-			return compareKey(ops[a], ops[b], pass)
+	prof := p.est.Profile()
+	ix.addCost = make([]time.Duration, len(ops))
+	for j, op := range ops {
+		ix.addCost[j] = prof.AddCost(op)
+	}
+
+	// Sort the per-type order by key, breaking ties by position: equal keys
+	// imply equal types, so each key's ops stay in topological order.
+	sorted := make([]uint64, len(byType))
+	p.keysMu.Lock()
+	for n, id := range byType {
+		op := ops[id]
+		k := matchKey{op.Type, op.Shape}
+		key, ok := p.keys[k]
+		if !ok {
+			key = uint32(len(p.keys))
+			p.keys[k] = key
+		}
+		sorted[n] = uint64(key)<<32 | uint64(n)
+	}
+	p.keysMu.Unlock()
+	slices.Sort(sorted)
+	ix.byShape = make([]int32, len(sorted))
+	for n, kn := range sorted {
+		key := uint32(kn >> 32)
+		ix.byShape[n] = byType[uint32(kn)]
+		if n == 0 || key != ix.runs[len(ix.runs)-1].key {
+			ix.runs = append(ix.runs, keyRun{key: key, start: int32(n)})
+		}
+	}
+	ix.runs = append(ix.runs, keyRun{start: int32(len(sorted))})
+	ix.byWeights = slices.Clone(ix.byShape)
+	for r := range ix.runs[:len(ix.runs)-1] {
+		slices.SortStableFunc(ix.byWeights[ix.runs[r].start:ix.runs[r+1].start], func(a, b int32) int {
+			return cmp.Compare(ops[a].WeightsID, ops[b].WeightsID)
 		})
-		ix.byKey[pass] = keyed
 	}
 	return ix
 }
@@ -89,7 +137,7 @@ func (p *Planner) index(g *model.Graph) *modelIndex {
 	if ix != nil {
 		return ix
 	}
-	ix = newModelIndex(p.est, g)
+	ix = p.newModelIndex(g)
 	p.mu.Lock()
 	if prev := p.idx[g]; prev != nil {
 		ix = prev

@@ -17,6 +17,11 @@ import (
 // index and must not reappear here.
 const planAllocs = 6
 
+// costAllocs is the allocation count of one warm-index group cost pass: the
+// mapping's three slices and nothing else. The pass counts kept edges from
+// the source side, so it never inverts the mapping.
+const costAllocs = 3
+
 // TestPlanAllocsAndSlack pins what one plan costs once both graphs are
 // indexed, and that plans carry no spare capacity: cached plans live as long
 // as the cache, so append slack would be held for the life of a server.
@@ -31,6 +36,9 @@ func TestPlanAllocsAndSlack(t *testing.T) {
 	if got := testing.AllocsPerRun(100, func() { pl.Plan(src, dst) }); got > planAllocs {
 		t.Errorf("warm-index Plan allocates %.0f times, want at most %d", got, planAllocs)
 	}
+	if got := testing.AllocsPerRun(100, func() { pl.Cost(src, dst) }); got > costAllocs {
+		t.Errorf("warm-index Cost allocates %.0f times, want at most %d", got, costAllocs)
+	}
 	// A self-plan has no steps, and keeps Steps nil so it encodes as JSON
 	// null in checkpoints and control-plane copies, as it always has.
 	for _, algo := range []Algorithm{AlgoGroup, AlgoHungarian} {
@@ -44,7 +52,10 @@ func TestPlanAllocsAndSlack(t *testing.T) {
 // through one planner whose index starts empty. Every plan must equal the
 // serial planner's, and every goroutine must have read the one index entry
 // the planner kept for each graph: a concurrent first build may be wasted,
-// but it must never replace an entry another goroutine already used.
+// but it must never replace an entry another goroutine already used. The
+// concurrent builds share the planner's key interning: every distinct
+// (type, shape) must end up with one dense ID, and every index must carry
+// it.
 func TestSharedColdIndex(t *testing.T) {
 	img := zoo.Imgclsmob()
 	var models []*model.Graph
@@ -102,5 +113,36 @@ func TestSharedColdIndex(t *testing.T) {
 				t.Errorf("worker %d read an index entry for %s that the planner did not keep", w, g.Name)
 			}
 		}
+	}
+
+	distinct := make(map[matchKey]bool)
+	for _, g := range models {
+		ix := shared.idx[g]
+		if n := int(ix.runs[len(ix.runs)-1].start); n != g.NumOps() || len(ix.byShape) != n || len(ix.byWeights) != n {
+			t.Fatalf("%s: key runs cover %d ops, want %d", g.Name, n, g.NumOps())
+		}
+		for r, run := range ix.runs[:len(ix.runs)-1] {
+			end := ix.runs[r+1].start
+			for _, ops := range [][]int32{ix.byShape[run.start:end], ix.byWeights[run.start:end]} {
+				for _, id := range ops {
+					op := g.Op(int(id))
+					k := matchKey{op.Type, op.Shape}
+					distinct[k] = true
+					if got, ok := shared.keys[k]; !ok || got != run.key {
+						t.Fatalf("%s: op %d sits under key %d, the planner interned %d (present %v)", g.Name, id, run.key, got, ok)
+					}
+				}
+			}
+		}
+	}
+	ids := make([]bool, len(shared.keys))
+	for _, id := range shared.keys {
+		if int(id) >= len(ids) || ids[id] {
+			t.Fatalf("key IDs are not dense and distinct: %d of %d", id, len(ids))
+		}
+		ids[id] = true
+	}
+	if len(shared.keys) != len(distinct) {
+		t.Errorf("planner interned %d keys, the models have %d distinct (type, shape)", len(shared.keys), len(distinct))
 	}
 }

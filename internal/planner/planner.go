@@ -53,11 +53,18 @@ type Planner struct {
 
 	mu  sync.RWMutex
 	idx map[*model.Graph]*modelIndex
+
+	// keysMu guards keys, the match keys interned by every index of the
+	// planner: each distinct (type, shape) gets the next ID when an index
+	// first sees it. It grows with the number of distinct shapes.
+	keysMu sync.Mutex
+	keys   map[matchKey]uint32
 }
 
 // New returns a planner using the given profiled cost estimates and solver.
 func New(est *cost.Estimator, algo Algorithm) *Planner {
-	return &Planner{est: est, algo: algo, idx: make(map[*model.Graph]*modelIndex)}
+	return &Planner{est: est, algo: algo, idx: make(map[*model.Graph]*modelIndex),
+		keys: make(map[matchKey]uint32)}
 }
 
 // Estimator returns the planner's cost estimator.
@@ -89,7 +96,7 @@ func (c Cost) Rank() time.Duration {
 // safeguard decision: if the estimated transformation cost exceeds loading
 // dst from scratch, the plan is flagged LoadFromScratch.
 func (p *Planner) Plan(src, dst *model.Graph) *metaop.Plan {
-	d := p.draft(src, dst)
+	d := p.pairing(src, dst).draft()
 	plan, _ := d.build()
 	return plan
 }
@@ -97,45 +104,62 @@ func (p *Planner) Plan(src, dst *model.Graph) *metaop.Plan {
 // Cost returns the cost of the plan Plan(src, dst) would return, without
 // building its steps.
 func (p *Planner) Cost(src, dst *model.Graph) Cost {
-	d := p.draft(src, dst)
+	d := p.pairing(src, dst).draft()
 	return d.cost()
 }
 
-// draft maps src onto dst under one snapshot of the planner's estimates.
-func (p *Planner) draft(src, dst *model.Graph) draft {
-	est := p.est.Snapshot()
-	si, di := p.index(src), p.index(dst)
-	return draft{est: est, si: si, di: di, mp: p.mapping(est, si, di)}
+// pairing returns src→dst under the current snapshot of the planner's
+// estimates.
+func (p *Planner) pairing(src, dst *model.Graph) pairing {
+	return pairing{algo: p.algo, est: p.est.Snapshot(), si: p.index(src), di: p.index(dst)}
 }
 
-func (p *Planner) mapping(est *cost.Snapshot, si, di *modelIndex) Mapping {
-	switch p.algo {
+// pairing is everything a pair's mapping depends on: both indexes, the
+// solver and the estimates snapshot. Mapping it is deterministic, so the
+// steps built from a pairing kept since costing are the steps Plan would
+// have built at costing time, even if the estimator has learned since.
+type pairing struct {
+	algo   Algorithm
+	est    *cost.Snapshot
+	si, di *modelIndex
+}
+
+// draft maps the pair.
+func (pr pairing) draft() draft {
+	return draft{pairing: pr, mp: pr.mapping()}
+}
+
+func (pr pairing) mapping() Mapping {
+	switch pr.algo {
 	case AlgoHungarian:
-		mx := buildMatrix(est, si.g, di.g)
+		mx := buildMatrix(pr.est, pr.si.g, pr.di.g)
 		rowToCol, _ := hungarian(mx)
 		return mappingFromAssignment(mx, rowToCol)
 	case AlgoBrute:
-		mx := buildMatrix(est, si.g, di.g)
+		mx := buildMatrix(pr.est, pr.si.g, pr.di.g)
 		rowToCol, _ := bruteForce(mx)
 		return mappingFromAssignment(mx, rowToCol)
 	default:
-		return groupMapping(p.est, si, di)
+		return groupMapping(pr.est.Profile(), pr.si, pr.di)
 	}
 }
 
-// draft is a mapped pair: the operation mapping and the estimates snapshot
-// it was made under. Costing it and building its steps run the same walk, so
-// steps built long after the pair was costed are the steps Plan would have
-// built at costing time, even if the estimator has learned since.
+// draft is a mapped pair. Costing it and building its steps price the same
+// operation steps; they differ only in how the edge steps are found.
 type draft struct {
-	est    *cost.Snapshot
-	si, di *modelIndex
-	mp     Mapping
+	pairing
+	mp Mapping
 }
 
-// cost walks the draft's steps without building them.
+// cost prices the draft's steps without building them; it counts the edge
+// steps instead of finding them.
 func (d *draft) cost() Cost {
-	return d.walk(nil, d.inverse())
+	c := d.walk(nil)
+	edges := d.est.Profile().EdgeCost(d.edgeSteps())
+	c.Est += edges
+	c.True += edges
+	c.LoadFromScratch = c.Est > c.Scratch
+	return c
 }
 
 // build converts the mapping into an executable meta-operator plan:
@@ -149,7 +173,6 @@ func (d *draft) build() (*metaop.Plan, Cost) {
 		SrcName: src.Name, DstName: dst.Name,
 		SrcHash: d.si.structureHash(), DstHash: d.di.structureHash(),
 	}
-	dstToSrc := d.inverse()
 	sops, dops := src.Ops(), dst.Ops()
 	n := len(d.mp.Added)
 	for i, j := range d.mp.SrcToDst {
@@ -168,17 +191,31 @@ func (d *draft) build() (*metaop.Plan, Cost) {
 			n++
 		}
 	}
-	kept := 0
-	for _, e := range d.di.edges {
-		if d.keptEdge(dstToSrc, e) {
-			kept++
-		}
-	}
-	n += len(d.si.edges) + len(d.di.edges) - 2*kept
+	n += d.edgeSteps()
 	if n > 0 {
 		plan.Steps = make([]metaop.Step, 0, n)
 	}
-	c := d.walk(plan, dstToSrc)
+	c := d.walk(plan)
+
+	edgeCost := d.est.Profile().EdgeCost(1)
+	edge := func(e model.Edge, add bool) {
+		c.Est += edgeCost
+		c.True += edgeCost
+		plan.Steps = append(plan.Steps, metaop.Step{Kind: metaop.KindEdge, SrcID: -1, DstID: -1,
+			EdgeFrom: e.From, EdgeTo: e.To, EdgeAdd: add, EstCost: edgeCost})
+	}
+	for _, e := range d.si.edges {
+		if !d.keptSrcEdge(e) {
+			edge(e, false)
+		}
+	}
+	dstToSrc := d.inverse()
+	for _, e := range d.di.edges {
+		if from, to := dstToSrc[e.From], dstToSrc[e.To]; from < 0 || to < 0 || !src.HasEdge(from, to) {
+			edge(e, true)
+		}
+	}
+	c.LoadFromScratch = c.Est > c.Scratch
 	plan.EstCost, plan.ScratchCost, plan.LoadFromScratch = c.Est, c.Scratch, c.LoadFromScratch
 	return plan, c
 }
@@ -198,19 +235,31 @@ func (d *draft) inverse() []int {
 	return dstToSrc
 }
 
-// keptEdge reports whether destination edge e survives from the source. The
-// mapping is injective, so e is kept exactly when its preimage is a source
-// edge; every other source edge is removed and every other destination edge
-// added.
-func (d *draft) keptEdge(dstToSrc []int, e model.Edge) bool {
-	from, to := dstToSrc[e.From], dstToSrc[e.To]
-	return from >= 0 && to >= 0 && d.si.g.HasEdge(from, to)
+// edgeSteps counts the draft's Edge steps from one pass over the source
+// edges. The mapping is injective, so as many destination edges are kept
+// as source edges; every other edge of either graph is one step.
+func (d *draft) edgeSteps() int {
+	kept := 0
+	for _, e := range d.si.edges {
+		if d.keptSrcEdge(e) {
+			kept++
+		}
+	}
+	return len(d.si.edges) + len(d.di.edges) - 2*kept
 }
 
-// walk prices every meta-operator of the draft in step order, and appends
-// the steps to plan when plan is non-nil. Each step's true cost comes from
-// the profile once; its estimate is that cost scaled by the snapshot.
-func (d *draft) walk(plan *metaop.Plan, dstToSrc []int) Cost {
+// keptSrcEdge reports whether source edge e survives into the destination:
+// both ends are mapped and their images are joined.
+func (d *draft) keptSrcEdge(e model.Edge) bool {
+	from, to := d.mp.SrcToDst[e.From], d.mp.SrcToDst[e.To]
+	return from >= 0 && to >= 0 && d.di.g.HasEdge(from, to)
+}
+
+// walk prices the draft's operation steps in step order, and appends them
+// to plan when plan is non-nil. Each step's true cost comes from the
+// profile once (an Add's from the index); its estimate is that cost scaled
+// by the snapshot.
+func (d *draft) walk(plan *metaop.Plan) Cost {
 	sops, dops := d.si.g.Ops(), d.di.g.Ops()
 	prof := d.est.Profile()
 	c := Cost{Scratch: d.di.scratch}
@@ -237,15 +286,6 @@ func (d *draft) walk(plan *metaop.Plan, dstToSrc []int) Cost {
 			}
 		}
 	}
-	edgeCost := prof.EdgeCost(1)
-	edge := func(e model.Edge, add bool) {
-		c.Est += edgeCost
-		c.True += edgeCost
-		if plan != nil {
-			plan.Steps = append(plan.Steps, metaop.Step{Kind: metaop.KindEdge, SrcID: -1, DstID: -1,
-				EdgeFrom: e.From, EdgeTo: e.To, EdgeAdd: add, EstCost: edgeCost})
-		}
-	}
 
 	for i, j := range d.mp.SrcToDst {
 		srcOp := sops[i]
@@ -267,20 +307,7 @@ func (d *draft) walk(plan *metaop.Plan, dstToSrc []int) Cost {
 		}
 	}
 	for _, j := range d.mp.Added {
-		step(metaop.KindAdd, -1, j, prof.AddCost(dops[j]))
+		step(metaop.KindAdd, -1, j, d.di.addCost[j])
 	}
-	dst := d.di.g
-	for _, e := range d.si.edges {
-		if from, to := d.mp.SrcToDst[e.From], d.mp.SrcToDst[e.To]; from >= 0 && to >= 0 && dst.HasEdge(from, to) {
-			continue
-		}
-		edge(e, false)
-	}
-	for _, e := range d.di.edges {
-		if !d.keptEdge(dstToSrc, e) {
-			edge(e, true)
-		}
-	}
-	c.LoadFromScratch = c.Est > c.Scratch
 	return c
 }

@@ -99,7 +99,7 @@ func TestQuickHungarianNeverWorseOnNodeCost(t *testing.T) {
 		rowToCol, _ := hungarian(mx)
 		hMap := mappingFromAssignment(mx, rowToCol)
 		pl := New(est, AlgoGroup)
-		gMap := groupMapping(est, pl.index(src), pl.index(dst))
+		gMap := groupMapping(est.Profile(), pl.index(src), pl.index(dst))
 		hCost := MappingCost(est, src, dst, hMap)
 		gCost := MappingCost(est, src, dst, gMap)
 		return hCost <= gCost+1e-6
