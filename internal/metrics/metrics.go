@@ -6,7 +6,7 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -206,8 +206,9 @@ func (f *FanoutStats) Merge(o FanoutStats) {
 
 // Collector accumulates request records. It maintains running aggregates
 // (latency sum, per-kind counts) and a cached sorted-latency view so that
-// summary reads over million-record replays cost O(1) — or one sort, reused
-// until the next Add — instead of re-scanning and re-sorting per call.
+// summary reads over million-record replays cost O(1) — or, after new Adds,
+// a sort of just the new latencies merged into the view — instead of
+// re-scanning and re-sorting per call.
 // Collector is not safe for concurrent use; callers that share one across
 // goroutines (the gateway) must serialize access themselves.
 type Collector struct {
@@ -220,10 +221,10 @@ type Collector struct {
 	// latSum and kinds are running aggregates maintained by Add/RestoreFrom.
 	latSum time.Duration
 	kinds  [startKindCount]int
-	// sorted caches the ascending latency view used by Percentile; it is
-	// valid only while sortedOK holds (invalidated by Add and RestoreFrom).
-	sorted   []time.Duration
-	sortedOK bool
+	// sorted holds the ascending latencies of records[:len(sorted)]: Add
+	// only appends records, so the view stays valid for that prefix until
+	// RestoreFrom clears it.
+	sorted []time.Duration
 	// stream, when set by StreamInto, diverts Adds into a constant-memory
 	// Summary instead of the record slice.
 	stream *Summary
@@ -240,7 +241,6 @@ func (c *Collector) Add(r Record) {
 	if int(r.Kind) < int(startKindCount) {
 		c.kinds[r.Kind]++
 	}
-	c.sortedOK = false
 }
 
 // Reserve grows the record store to hold n total records without further
@@ -278,7 +278,6 @@ func (c *Collector) RestoreFrom(records []Record, faults FaultStats) {
 		}
 	}
 	c.sorted = nil
-	c.sortedOK = false
 }
 
 // MeanLatency returns the average end-to-end service time.
@@ -289,26 +288,37 @@ func (c *Collector) MeanLatency() time.Duration {
 	return c.latSum / time.Duration(len(c.records))
 }
 
-// sortedLatencies returns the cached ascending latency view, rebuilding it
-// only when records changed since the last call.
+// sortedLatencies returns the ascending latency view. Latencies added since
+// the last call are sorted on their own, then merged in from the back.
 func (c *Collector) sortedLatencies() []time.Duration {
-	if c.sortedOK && len(c.sorted) == len(c.records) {
+	m, n := len(c.sorted), len(c.records)
+	if m == n {
 		return c.sorted
 	}
-	if cap(c.sorted) < len(c.records) {
-		c.sorted = make([]time.Duration, len(c.records))
+	c.sorted = slices.Grow(c.sorted, n-m)[:n]
+	for i, r := range c.records[m:] {
+		c.sorted[m+i] = r.Latency()
 	}
-	c.sorted = c.sorted[:len(c.records)]
-	for i, r := range c.records {
-		c.sorted[i] = r.Latency()
+	slices.Sort(c.sorted[m:])
+	if m == 0 {
+		return c.sorted
 	}
-	sort.Slice(c.sorted, func(i, j int) bool { return c.sorted[i] < c.sorted[j] })
-	c.sortedOK = true
+	fresh := slices.Clone(c.sorted[m:])
+	i, j := m-1, len(fresh)-1
+	for w := n - 1; j >= 0; w-- {
+		if i >= 0 && c.sorted[i] > fresh[j] {
+			c.sorted[w] = c.sorted[i]
+			i--
+		} else {
+			c.sorted[w] = fresh[j]
+			j--
+		}
+	}
 	return c.sorted
 }
 
 // Percentile returns the p-th latency percentile (p in [0,100]). Repeated
-// calls between Adds reuse one cached sort of the record set.
+// calls between Adds reuse the cached sorted view.
 func (c *Collector) Percentile(p float64) time.Duration {
 	if len(c.records) == 0 {
 		return 0
@@ -375,8 +385,8 @@ func (q QuickStats) Fraction(kind StartKind) float64 {
 }
 
 // Quick returns the stats-endpoint summary in one pass over the cached
-// aggregates: allocation-free while the sorted view is valid, one latency
-// sort (amortized across readers) after new Adds.
+// aggregates: allocation-free while the sorted view is valid; after new
+// Adds, one sort and merge of just the new latencies.
 func (c *Collector) Quick() QuickStats {
 	q := QuickStats{Requests: len(c.records), Mean: c.MeanLatency()}
 	if len(c.records) == 0 {
@@ -501,7 +511,7 @@ func DurationPercentile(ds []time.Duration, p float64) time.Duration {
 		return 0
 	}
 	sorted := append([]time.Duration(nil), ds...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	slices.Sort(sorted)
 	return PercentileSorted(sorted, p)
 }
 

@@ -2,6 +2,8 @@ package metrics
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 )
@@ -326,5 +328,67 @@ func TestQuickAllocFree(t *testing.T) {
 		}
 	}); avg != 0 {
 		t.Errorf("Quick allocates %.1f objects/call on a warm cache, want 0", avg)
+	}
+}
+
+// TestSortedViewMatchesFullSort interleaves Adds, reads and RestoreFroms at
+// random and requires every read of the incrementally merged latency view to
+// equal a full re-sort of all records.
+func TestSortedViewMatchesFullSort(t *testing.T) {
+	ps := []float64{0, 1, 25, 50, 90, 99, 99.9, 100}
+	for seed := int64(1); seed <= 10; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var c Collector
+		for op := 0; op < 400; op++ {
+			switch u := rng.Intn(100); {
+			case u < 70:
+				for n := rng.Intn(20); n >= 0; n-- {
+					// Few distinct latencies, so old and new values tie.
+					lat := time.Duration(rng.Intn(50)) * time.Millisecond
+					c.Add(rec("f", StartKind(rng.Intn(int(startKindCount))), 0, lat))
+				}
+			case u < 75:
+				recs := c.Records()
+				c.RestoreFrom(recs[:rng.Intn(len(recs)+1)], FaultStats{})
+			default:
+				lats := make([]time.Duration, 0, c.Len())
+				for _, r := range c.Records() {
+					lats = append(lats, r.Latency())
+				}
+				slices.Sort(lats)
+				if c.Len() == 0 {
+					if q := c.Quick(); q.P50 != 0 || c.Percentile(50) != 0 {
+						t.Fatalf("seed %d op %d: empty collector reads %+v", seed, op, q)
+					}
+					continue
+				}
+				// Whichever reader runs first does the merge.
+				for k, first := 0, rng.Intn(3); k < 3; k++ {
+					switch (first + k) % 3 {
+					case 0:
+						q := c.Quick()
+						if q.P50 != PercentileSorted(lats, 50) || q.P99 != PercentileSorted(lats, 99) {
+							t.Fatalf("seed %d op %d: Quick %+v disagrees with a full sort", seed, op, q)
+						}
+					case 1:
+						for _, p := range ps {
+							if got, want := c.Percentile(p), PercentileSorted(lats, p); got != want {
+								t.Fatalf("seed %d op %d: Percentile(%v) = %v, want %v", seed, op, p, got, want)
+							}
+						}
+					case 2:
+						got := c.Percentiles(ps...)
+						for i, p := range ps {
+							if want := PercentileSorted(lats, p); got[i] != want {
+								t.Fatalf("seed %d op %d: Percentiles p%v = %v, want %v", seed, op, p, got[i], want)
+							}
+						}
+					}
+				}
+				if !slices.Equal(c.sortedLatencies(), lats) {
+					t.Fatalf("seed %d op %d: sorted view differs from a full sort", seed, op)
+				}
+			}
+		}
 	}
 }

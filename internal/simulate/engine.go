@@ -1,7 +1,9 @@
 package simulate
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -453,7 +455,7 @@ func (s *Simulator) Run(trace *workload.Trace) (*metrics.Collector, error) {
 		}
 	}
 	if !inOrder {
-		sort.SliceStable(arrivals, func(i, j int) bool { return arrivals[i].at < arrivals[j].at })
+		slices.SortStableFunc(arrivals, func(a, b arrival) int { return cmp.Compare(a.at, b.at) })
 	}
 	if !s.cfg.RouteScan || s.cfg.CrossCheckRouting {
 		s.enableIndex()
@@ -474,15 +476,15 @@ func (s *Simulator) Run(trace *workload.Trace) (*metrics.Collector, error) {
 // trace; RunWindowed calls it per window and per partition worker.
 func (s *Simulator) runWindow(arr []arrival, limit time.Duration, final bool) {
 	next := 0
-	for next < len(arr) || len(s.events) > 0 {
-		if next < len(arr) && (len(s.events) == 0 || arr[next].at <= s.events[0].at) {
+	for next < len(arr) || s.events.len() > 0 {
+		if next < len(arr) && (s.events.len() == 0 || arr[next].at <= s.events.nextAt()) {
 			a := arr[next]
 			next++
 			s.clock = a.at
 			s.arrive(a.fr, a.at)
 			continue
 		}
-		if !final && s.events[0].at >= limit {
+		if !final && s.events.nextAt() >= limit {
 			return
 		}
 		s.step(s.events.pop())
@@ -526,8 +528,8 @@ func (s *Simulator) RunStream(src workload.Cursor) (*metrics.Summary, error) {
 	}
 	req, ok := src.Next()
 	var last time.Duration
-	for ok || len(s.events) > 0 {
-		if ok && (len(s.events) == 0 || req.At <= s.events[0].at) {
+	for ok || s.events.len() > 0 {
+		if ok && (s.events.len() == 0 || req.At <= s.events.nextAt()) {
 			if req.At < last {
 				return nil, fmt.Errorf("simulate: stream out of order: %v after %v", req.At, last)
 			}
@@ -576,7 +578,6 @@ const (
 // interface boxing on push/pop.
 type event struct {
 	at      time.Duration
-	seq     int
 	kind    eventKind
 	node    *Node
 	c       *Container
@@ -594,61 +595,101 @@ type event struct {
 	foCorrupt bool
 }
 
-// eventHeap is a min-heap ordered by (at, seq).
-type eventHeap []event
-
-func (h eventHeap) before(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
+// eventKey is one heap entry: the event's (at, seq) order and the slab slot
+// holding the event itself.
+type eventKey struct {
+	at   time.Duration
+	seq  int
+	slot int
 }
 
-func (h *eventHeap) push(ev event) {
-	*h = append(*h, ev)
-	q := *h
-	i := len(q) - 1
+func (a eventKey) before(b eventKey) bool {
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
+}
+
+// eventHeap is a min-heap ordered by (at, seq). The heap holds only 24-byte
+// keys, and push and pop move a hole instead of swapping, so sifting never
+// copies an event; the events wait in a slab. A popped event's slot is
+// zeroed, so the slab keeps no pointers alive, and parked just past the
+// heap's end: keys[len(keys):len(slab)] always holds exactly the free
+// slots, in capacity keys already has.
+type eventHeap struct {
+	keys []eventKey
+	slab []event
+}
+
+// eventHeapCap is the first capacity of the keys and the slab, above the
+// few dozen events a replay usually has in flight.
+const eventHeapCap = 64
+
+func (h *eventHeap) len() int { return len(h.keys) }
+
+// nextAt returns the earliest pending event's time; the heap must be
+// non-empty.
+func (h *eventHeap) nextAt() time.Duration { return h.keys[0].at }
+
+func (h *eventHeap) push(ev event, seq int) {
+	n := len(h.keys)
+	k := eventKey{at: ev.at, seq: seq, slot: n}
+	if n < len(h.slab) {
+		k.slot = h.keys[:n+1][n].slot
+		h.slab[k.slot] = ev
+	} else {
+		if h.slab == nil {
+			h.keys = make([]eventKey, 0, eventHeapCap)
+			h.slab = make([]event, 0, eventHeapCap)
+		}
+		h.slab = append(h.slab, ev)
+	}
+	h.keys = append(h.keys, k)
+	q := h.keys
+	i := n
 	for i > 0 {
 		p := (i - 1) / 2
-		if q.before(p, i) {
+		if !k.before(q[p]) {
 			break
 		}
-		q[p], q[i] = q[i], q[p]
+		q[i] = q[p]
 		i = p
 	}
+	q[i] = k
 }
 
+// pop removes and returns the earliest event.
 func (h *eventHeap) pop() event {
-	q := *h
-	top := q[0]
+	q := h.keys
+	top := q[0].slot
 	n := len(q) - 1
-	q[0] = q[n]
-	q[n] = event{}
+	last := q[n]
+	q[n] = eventKey{slot: top}
 	q = q[:n]
-	*h = q
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && q.before(l, small) {
-			small = l
+	h.keys = q
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if r := c + 1; r < n && q[r].before(q[c]) {
+				c = r
+			}
+			if !q[c].before(last) {
+				break
+			}
+			q[i] = q[c]
+			i = c
 		}
-		if r < n && q.before(r, small) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		q[i], q[small] = q[small], q[i]
-		i = small
+		q[i] = last
 	}
-	return top
+	ev := h.slab[top]
+	h.slab[top] = event{}
+	return ev
 }
 
 func (s *Simulator) schedule(ev event) {
-	ev.seq = s.seq
+	s.events.push(ev, s.seq)
 	s.seq++
-	s.events.push(ev)
 }
 
 // arrive admits a new request and dispatches it.

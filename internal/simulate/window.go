@@ -365,7 +365,7 @@ func (s *Simulator) runWindowParallel(arr []arrival, end time.Duration, final bo
 	// preconditions, but guarded) defer to a later window.
 	perGroupEvents := make([][]event, groups)
 	var deferred []event
-	for len(s.events) > 0 {
+	for s.events.len() > 0 {
 		ev := s.events.pop()
 		g := -1
 		if ev.kind == evComplete && ev.node != nil {
@@ -409,7 +409,7 @@ func (s *Simulator) runWindowParallel(arr []arrival, end time.Duration, final bo
 		}
 		// Leftover worker events re-enter the authoritative heap in worker
 		// (at, seq) order; deferred unowned events follow, also in order.
-		for len(w.events) > 0 {
+		for w.events.len() > 0 {
 			s.schedule(w.events.pop())
 		}
 		for _, r := range w.collector.Records() {

@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"time"
 )
@@ -91,6 +92,6 @@ func ReadAzureInvocationsCSVLimit(r io.Reader, maxRequests int) (*Trace, error) 
 		}
 		row++
 	}
-	sortTrace(t)
+	slices.SortFunc(t.Requests, byArrival)
 	return t, nil
 }

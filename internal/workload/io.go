@@ -4,7 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 	"time"
 )
@@ -59,7 +59,7 @@ func ReadCSV(r io.Reader) (*Trace, error) {
 		}
 		t.Requests = append(t.Requests, Request{Function: rec[1], At: at})
 	}
-	sortTrace(t)
+	slices.SortFunc(t.Requests, byArrival)
 	if t.Duration == 0 && len(t.Requests) > 0 {
 		t.Duration = t.Requests[len(t.Requests)-1].At + time.Second
 	}
@@ -82,6 +82,6 @@ func (t *Trace) Functions() []string {
 	for f := range seen {
 		out = append(out, f)
 	}
-	sort.Strings(out)
+	slices.Sort(out)
 	return out
 }

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 )
@@ -31,9 +32,24 @@ func sameTrace(t *testing.T, a, b *Trace) {
 	}
 }
 
-// TestStreamMatchesMaterialized is the byte-identity property: for every
-// generator family and seeds 1..8, the k-way-heap stream must reproduce the
-// materialized Trace exactly, including sortTrace's tie-break order.
+// drainSorted is the materialized reference a Stream must match: every
+// function's arrivals drained in turn, then sorted by byArrival. It reads
+// the generators straight off the merge heap, so the merge itself is not
+// involved.
+func drainSorted(s *Stream) *Trace {
+	t := &Trace{Duration: s.duration}
+	for _, c := range s.h {
+		for at, ok := c.at, true; ok; at, ok = c.gen() {
+			t.Requests = append(t.Requests, Request{Function: c.name, At: at})
+		}
+	}
+	slices.SortFunc(t.Requests, byArrival)
+	return t
+}
+
+// TestStreamMatchesMaterialized is the merge-order property: for every
+// generator family and seeds 1..8, the k-way-heap stream must reproduce its
+// generators' arrivals sorted by (at, function name), ties included.
 func TestStreamMatchesMaterialized(t *testing.T) {
 	fns := fnNames(40)
 	const horizon = 48 * time.Hour
@@ -43,27 +59,21 @@ func TestStreamMatchesMaterialized(t *testing.T) {
 	}
 	families := []struct {
 		name string
-		mat  func(seed int64) *Trace
 		str  func(seed int64) *Stream
 	}{
-		{"poisson", func(s int64) *Trace { return Poisson(fns, RateFrequent, horizon, s) },
-			func(s int64) *Stream { return StreamPoisson(fns, RateFrequent, horizon, s) }},
-		{"poisson-rates", func(s int64) *Trace { return PoissonRates(rates, horizon, s) },
-			func(s int64) *Stream { return StreamPoissonRates(rates, horizon, s) }},
-		{"mixed", func(s int64) *Trace { return MixedPoisson(fns, horizon, s) },
-			func(s int64) *Stream { return StreamMixedPoisson(fns, horizon, s) }},
-		{"azure", func(s int64) *Trace { return AzureLike(fns, horizon, s) },
-			func(s int64) *Stream { return StreamAzureLike(fns, horizon, s) }},
+		{"poisson", func(s int64) *Stream { return StreamPoisson(fns, RateFrequent, horizon, s) }},
+		{"poisson-rates", func(s int64) *Stream { return StreamPoissonRates(rates, horizon, s) }},
+		{"mixed", func(s int64) *Stream { return StreamMixedPoisson(fns, horizon, s) }},
+		{"azure", func(s int64) *Stream { return StreamAzureLike(fns, horizon, s) }},
 	}
 	for _, fam := range families {
 		for seed := int64(1); seed <= 8; seed++ {
 			t.Run(fmt.Sprintf("%s/seed=%d", fam.name, seed), func(t *testing.T) {
-				want := fam.mat(seed)
-				got := fam.str(seed).Materialize()
+				want := drainSorted(fam.str(seed))
 				if want.Len() == 0 {
-					t.Fatalf("empty materialized trace — vacuous comparison")
+					t.Fatalf("empty reference trace — vacuous comparison")
 				}
-				sameTrace(t, want, got)
+				sameTrace(t, want, fam.str(seed).Materialize())
 			})
 		}
 	}
@@ -71,7 +81,7 @@ func TestStreamMatchesMaterialized(t *testing.T) {
 
 // TestStreamTieBreak drives the merge heap directly with generators that
 // collide on timestamps: equal arrival times must come out ordered by
-// function name, exactly as sortTrace orders them.
+// function name.
 func TestStreamTieBreak(t *testing.T) {
 	const horizon = 10 * time.Second
 	// Three functions all firing at t=1s,2s,3s,... — every timestamp is a

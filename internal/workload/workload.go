@@ -6,13 +6,14 @@
 // invoked functions dominating traffic, a band of periodic (timer-driven)
 // functions, and a long tail of rarely invoked, bursty functions.
 //
-// All generators are deterministic under a seed.
+// All generators are deterministic under a seed. Each eager generator is
+// its lazy Stream twin (stream.go), materialized.
 package workload
 
 import (
+	"cmp"
 	"math"
-	"math/rand"
-	"sort"
+	"strings"
 	"time"
 )
 
@@ -33,15 +34,13 @@ type Trace struct {
 // Len returns the number of requests.
 func (t *Trace) Len() int { return len(t.Requests) }
 
-// sortTrace orders requests by arrival (stable on function name for
-// deterministic output).
-func sortTrace(t *Trace) {
-	sort.SliceStable(t.Requests, func(i, j int) bool {
-		if t.Requests[i].At != t.Requests[j].At {
-			return t.Requests[i].At < t.Requests[j].At
-		}
-		return t.Requests[i].Function < t.Requests[j].Function
-	})
+// byArrival orders requests by arrival, then by function name. Requests
+// it ranks equal are identical values, so an unstable sort is deterministic.
+func byArrival(a, b Request) int {
+	if a.At != b.At {
+		return cmp.Compare(a.At, b.At)
+	}
+	return strings.Compare(a.Function, b.Function)
 }
 
 // The paper drives each inference service with Poisson arrivals at three
@@ -60,51 +59,19 @@ var (
 // Poisson generates a trace where every function receives independent
 // Poisson arrivals at ratePerSec for the given duration.
 func Poisson(fns []string, ratePerSec float64, duration time.Duration, seed int64) *Trace {
-	rates := make(map[string]float64, len(fns))
-	for _, f := range fns {
-		rates[f] = ratePerSec
-	}
-	return PoissonRates(rates, duration, seed)
+	return StreamPoisson(fns, ratePerSec, duration, seed).Materialize()
 }
 
 // PoissonRates generates independent Poisson arrivals with a per-function
 // rate (requests per second).
 func PoissonRates(rates map[string]float64, duration time.Duration, seed int64) *Trace {
-	t := &Trace{Duration: duration}
-	names := make([]string, 0, len(rates))
-	for f := range rates {
-		names = append(names, f)
-	}
-	sort.Strings(names) // deterministic iteration
-	for i, f := range names {
-		rate := rates[f]
-		if rate <= 0 {
-			continue
-		}
-		rng := rand.New(rand.NewSource(seed + int64(i)*1_000_003))
-		drain(t, f, poissonArrivals(rate, duration, rng))
-	}
-	sortTrace(t)
-	return t
+	return StreamPoissonRates(rates, duration, seed).Materialize()
 }
 
 // MixedPoisson assigns functions round-robin to the three paper intensities
 // and generates the combined trace.
 func MixedPoisson(fns []string, duration time.Duration, seed int64) *Trace {
-	rates := make(map[string]float64, len(fns))
-	levels := []float64{RateFrequent, RateMiddle, RateInfrequent}
-	for i, f := range fns {
-		rates[f] = levels[i%len(levels)]
-	}
-	return PoissonRates(rates, duration, seed)
-}
-
-// azureClass describes one invocation-pattern class of the synthetic Azure
-// trace.
-type azureClass struct {
-	name string
-	// share of functions in this class.
-	share float64
+	return StreamMixedPoisson(fns, duration, seed).Materialize()
 }
 
 // AzureLike generates a production-like trace: 10 % of functions are
@@ -113,51 +80,7 @@ type azureClass struct {
 // and 50 % form the rare long tail. The class mix and magnitudes follow the
 // Azure Functions characterization of Shahrad et al.
 func AzureLike(fns []string, duration time.Duration, seed int64) *Trace {
-	t := &Trace{Duration: duration}
-	rng := rand.New(rand.NewSource(seed))
-	for _, f := range fns {
-		// Class assignment is a deterministic function of the RNG stream so
-		// the same seed reproduces the same trace exactly.
-		u := rng.Float64()
-		frng := rand.New(rand.NewSource(seed ^ int64(hashString(f))))
-		switch {
-		case u < 0.10:
-			genBursty(t, f, duration, frng)
-		case u < 0.35:
-			genPeriodic(t, f, duration, frng)
-		case u < 0.50:
-			genDiurnal(t, f, duration, frng)
-		default:
-			genRare(t, f, duration, frng)
-		}
-	}
-	sortTrace(t)
-	return t
-}
-
-// genDiurnal emits a non-homogeneous Poisson process whose rate follows a
-// 24-hour sinusoid (peak ≈ 4× trough) with a per-function phase — office
-// and overnight-batch workloads in the Azure characterization. Thinning
-// keeps the process exact.
-func genDiurnal(t *Trace, f string, duration time.Duration, rng *rand.Rand) {
-	drain(t, f, diurnalArrivals(duration, rng))
-}
-
-// genBursty emits alternating on/off phases; during an on-phase the function
-// sees Poisson arrivals at a high rate.
-func genBursty(t *Trace, f string, duration time.Duration, rng *rand.Rand) {
-	drain(t, f, burstyArrivals(duration, rng))
-}
-
-// genPeriodic emits timer-driven arrivals with a fixed period and ±10 %
-// jitter, starting at a random phase.
-func genPeriodic(t *Trace, f string, duration time.Duration, rng *rand.Rand) {
-	drain(t, f, periodicArrivals(duration, rng))
-}
-
-// genRare emits sparse Poisson arrivals (mean one per 30-120 minutes).
-func genRare(t *Trace, f string, duration time.Duration, rng *rand.Rand) {
-	drain(t, f, rareArrivals(duration, rng))
+	return StreamAzureLike(fns, duration, seed).Materialize()
 }
 
 // Series returns the per-slot invocation counts of one function across the

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -173,8 +174,8 @@ func TestSeries(t *testing.T) {
 
 func TestPeriodicFunctionsAreRegular(t *testing.T) {
 	// A trace of only periodic functions should show near-constant gaps.
-	tr := &Trace{Duration: 4 * time.Hour}
-	genPeriodic(tr, "p", tr.Duration, newTestRand())
+	tr := newStream(4*time.Hour, []string{"p"},
+		[]arrivalGen{periodicArrivals(4*time.Hour, newTestRand())}).Materialize()
 	if tr.Len() < 3 {
 		t.Skip("period too long for horizon")
 	}
@@ -296,6 +297,24 @@ func TestReadAzureInvocationsCSVErrors(t *testing.T) {
 	for i, c := range cases {
 		if _, err := ReadAzureInvocationsCSV(strings.NewReader(c)); err == nil {
 			t.Errorf("case %d accepted", i)
+		}
+	}
+}
+
+// BenchmarkGeneratePoissonRates generates a replay-scale trace: 1024
+// functions at eight rate levels, about 1M requests over 30 minutes.
+func BenchmarkGeneratePoissonRates(b *testing.B) {
+	const nfns, requests, horizon = 1024, 1_000_000, 30 * time.Minute
+	perFn := requests / horizon.Seconds() / nfns
+	rates := make(map[string]float64, nfns)
+	for i := 0; i < nfns; i++ {
+		rates[fmt.Sprintf("fn-%04d", i)] = perFn * (0.25 + 1.5*float64(i%8)/7)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if tr := PoissonRates(rates, horizon, int64(i)); tr.Len() == 0 {
+			b.Fatal("empty trace")
 		}
 	}
 }
