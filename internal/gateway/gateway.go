@@ -591,7 +591,10 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 
 // planningStats summarizes the offline-planning pipeline for /api/stats:
 // pipeline progress (readiness), singleflight dedup counters, plan-cache
-// occupancy and per-pair planning-time percentiles.
+// occupancy and per-pair planning-time percentiles. The cache's hit_ratio
+// is hits ÷ lookups, where a lookup that waited on another caller's
+// in-flight computation of the pair is a hit (also counted under deduped)
+// and misses are the pairs this cache computed or loaded.
 func (g *Gateway) planningStats() map[string]any {
 	st := g.pre.Stats()
 	ct := g.online.Env().Plans.Counters()

@@ -242,17 +242,24 @@ func (s *cacheShard) moveToFront(e *lruEntry) {
 	}
 }
 
-// lookup must be called with s.mu held; it counts the hit/miss and
-// freshens the LRU position.
-func (s *cacheShard) lookup(k cacheKey) (*lruEntry, bool) {
-	e, ok := s.m[k]
-	if !ok {
-		s.misses++
-		return nil, false
+// lookup must be called with s.mu held. It returns the pair's entry
+// (freshening its LRU position) or else another goroutine's in-flight
+// computation of the pair, and counts either as a hit, the wait also as
+// Deduped. Finding neither counts a miss: the caller computes the pair, so
+// Misses counts exactly the pairs computed or loaded, whatever the timing.
+func (s *cacheShard) lookup(k cacheKey) (*lruEntry, *flight) {
+	if e, ok := s.m[k]; ok {
+		s.hits++
+		s.moveToFront(e)
+		return e, nil
 	}
-	s.hits++
-	s.moveToFront(e)
-	return e, true
+	if f, ok := s.flights[k]; ok {
+		s.hits++
+		s.deduped++
+		return nil, f
+	}
+	s.misses++
+	return nil, nil
 }
 
 // insert must be called with s.mu held; it stores (or refreshes) the pair's
@@ -333,21 +340,21 @@ func (c *Cache) getOrPlan(pl *Planner, src, dst *model.Graph, loader func(src, d
 	k := c.keyFor(src, dst)
 	s := c.shardFor(k)
 	s.mu.Lock()
-	if e, ok := s.lookup(k); ok {
+	e, f := s.lookup(k)
+	switch {
+	case e != nil:
 		if p := e.plan; p != nil {
 			s.mu.Unlock()
 			return p
 		}
 		s.mu.Unlock()
 		return s.steps(e)
-	}
-	if f, ok := s.flights[k]; ok {
-		s.deduped++
+	case f != nil:
 		s.mu.Unlock()
 		<-f.done
 		return s.steps(f.entry)
 	}
-	f := &flight{done: make(chan struct{})}
+	f = &flight{done: make(chan struct{})}
 	s.flights[k] = f
 	s.mu.Unlock()
 
@@ -399,7 +406,9 @@ func (c *Cache) GetOrCost(pl *Planner, src, dst *model.Graph) Costed {
 	k := c.keyFor(src, dst)
 	s := c.shardFor(k)
 	s.mu.Lock()
-	if e, ok := s.lookup(k); ok {
+	e, f := s.lookup(k)
+	switch {
+	case e != nil:
 		if e.costed {
 			cst := e.cost
 			s.mu.Unlock()
@@ -407,14 +416,12 @@ func (c *Cache) GetOrCost(pl *Planner, src, dst *model.Graph) Costed {
 		}
 		s.mu.Unlock()
 		return s.costOf(pl, e, src)
-	}
-	if f, ok := s.flights[k]; ok {
-		s.deduped++
+	case f != nil:
 		s.mu.Unlock()
 		<-f.done
 		return s.costOf(pl, f.entry, src)
 	}
-	f := &flight{done: make(chan struct{})}
+	f = &flight{done: make(chan struct{})}
 	s.flights[k] = f
 	s.mu.Unlock()
 
@@ -429,7 +436,7 @@ func (c *Cache) GetOrCost(pl *Planner, src, dst *model.Graph) Costed {
 	took := time.Since(t0) //optimus:allow wallclock — telemetry: pairs with the time.Now above
 
 	s.mu.Lock()
-	e := s.insert(k, lruEntry{cost: cst, costed: true, pairing: pr})
+	e = s.insert(k, lruEntry{cost: cst, costed: true, pairing: pr})
 	f.entry = e
 	delete(s.flights, k)
 	s.costed++
@@ -557,16 +564,20 @@ func (c *Cache) Stats() (hits, misses int) {
 // across shards.
 type Counters struct {
 	// Hits/Misses count lookups (Get and the read side of GetOrPlan and
-	// GetOrCost).
+	// GetOrCost). A GetOrPlan or GetOrCost caller that finds another
+	// goroutine's computation of the pair in flight waits for it and counts
+	// as a hit, so Misses counts the pairs computed or loaded, and neither
+	// count depends on how concurrent callers interleave.
 	Hits, Misses int
 	// Planned counts step constructions: plans computed by GetOrPlan on a
 	// miss, and steps built for a costed pair (Costed.Plan, or GetOrPlan
 	// hitting a cost-only entry). Costed counts step-free cost passes run by
-	// GetOrCost on a miss. Deduped counts callers that waited on another
-	// goroutine's in-flight computation (singleflight); Remote counts plans
-	// pulled through the loader (the cross-gateway owner-pull path) instead
-	// of computed locally. Every miss of GetOrPlan or GetOrCost is resolved
-	// by exactly one of a full plan, a cost pass, Remote or Deduped.
+	// GetOrCost on a miss. Deduped counts the hits that waited on another
+	// goroutine's in-flight computation (singleflight), so unlike the rest it
+	// depends on timing; Remote counts plans pulled through the loader (the
+	// cross-gateway owner-pull path) instead of computed locally. Every miss
+	// of GetOrPlan or GetOrCost is resolved by exactly one of a full plan, a
+	// cost pass or Remote.
 	Planned, Costed, Deduped, Remote int
 	// Evictions counts entries dropped by the LRU bound; Size and Limit
 	// describe the current occupancy, cost-only entries included (Limit 0 =

@@ -265,7 +265,46 @@ func TestCostAndPlanRace(t *testing.T) {
 	}
 	wg.Wait()
 	ct := c.Counters()
-	if ct.Costed > ct.Size || ct.Planned > ct.Size || ct.Misses != ct.Size+ct.Deduped {
+	if ct.Costed > ct.Size || ct.Planned > ct.Size || ct.Misses != ct.Size {
 		t.Errorf("counters %+v: a pair was computed twice", ct)
+	}
+}
+
+// TestColdPairCountsOneMiss races goroutines on one cold pair, through
+// GetOrCost and then through GetOrPlan: exactly one caller misses and
+// computes the pair, and every other caller is a hit, whether it found the
+// entry or waited on the computation in flight. So Hits and Misses do not
+// depend on how the callers interleave.
+func TestColdPairCountsOneMiss(t *testing.T) {
+	m := costModels()
+	const callers = 8
+	for _, tc := range []struct {
+		name string
+		call func(c *Cache, pl *Planner)
+		work func(ct Counters) int
+	}{
+		{"cost", func(c *Cache, pl *Planner) { c.GetOrCost(pl, m[0], m[2]) }, func(ct Counters) int { return ct.Costed }},
+		{"plan", func(c *Cache, pl *Planner) { c.GetOrPlan(pl, m[0], m[2]) }, func(ct Counters) int { return ct.Planned }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pl := New(exact(), AlgoGroup)
+			c := NewCache()
+			start := make(chan struct{})
+			var wg sync.WaitGroup
+			for i := 0; i < callers; i++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					<-start
+					tc.call(c, pl)
+				}()
+			}
+			close(start)
+			wg.Wait()
+			ct := c.Counters()
+			if ct.Misses != 1 || ct.Hits != callers-1 || tc.work(ct) != 1 {
+				t.Errorf("counters %+v: want 1 miss, %d hits and the pair computed once", ct, callers-1)
+			}
+		})
 	}
 }

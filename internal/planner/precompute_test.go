@@ -78,7 +78,8 @@ func TestParallelPrecomputeMatchesSerial(t *testing.T) {
 
 // TestGetOrPlanSingleflight: a burst of concurrent GetOrPlan calls for one
 // pair computes the plan exactly once; everyone gets the same plan object and
-// every call is accounted as planned, deduped or a cache hit.
+// every call is accounted as the one miss that planned or a cache hit (the
+// waiters among the hits also count as deduped).
 func TestGetOrPlanSingleflight(t *testing.T) {
 	img := zoo.Imgclsmob()
 	src := img.MustGet("resnet50-imagenet")
@@ -110,9 +111,9 @@ func TestGetOrPlanSingleflight(t *testing.T) {
 	if ct.Planned != 1 {
 		t.Errorf("planned %d times, want exactly 1 (singleflight)", ct.Planned)
 	}
-	if ct.Planned+ct.Deduped+ct.Hits != callers {
-		t.Errorf("planned %d + deduped %d + hits %d != %d callers",
-			ct.Planned, ct.Deduped, ct.Hits, callers)
+	if ct.Planned+ct.Hits != callers || ct.Deduped > ct.Hits {
+		t.Errorf("planned %d + hits %d != %d callers, or deduped %d exceeds the hits",
+			ct.Planned, ct.Hits, callers, ct.Deduped)
 	}
 	if c.Len() != 1 {
 		t.Errorf("cache Len = %d, want 1", c.Len())

@@ -3,6 +3,7 @@ package simulate
 import (
 	"cmp"
 	"fmt"
+	"runtime"
 	"slices"
 	"sort"
 	"time"
@@ -324,6 +325,20 @@ func (s *Simulator) rt(fn *Function) *fnRuntime {
 	return r
 }
 
+// resolve returns the named function's runtime for replay: one map lookup
+// once the runtime exists, since replay never redeploys a name. A function
+// seen for the first time is looked up in the registry and its runtime built.
+func (s *Simulator) resolve(name string) (*fnRuntime, bool) {
+	if r, ok := s.fnRt[name]; ok {
+		return r, true
+	}
+	fn, ok := s.fns[name]
+	if !ok {
+		return nil, false
+	}
+	return s.rt(fn), true
+}
+
 // ordFor returns fn's dense counter ordinal, assigning on first contact. The
 // table is shared with every node's routing index.
 func (s *Simulator) ordFor(fn *Function) int32 {
@@ -441,15 +456,49 @@ type arrival struct {
 // fire before engine events (arrivals held the lower sequence numbers),
 // arrivals keep trace order (stable sort), and engine events keep scheduling
 // order.
+//
+// When the functions' candidate sets split the nodes into two or more groups
+// and nothing couples them (replayGroups), the groups replay on up to
+// GOMAXPROCS parallel workers (runGroups), so cfg.Policy.Serve is called
+// concurrently for nodes in different groups and must not change state
+// shared between calls (see Policy). Every record, aggregate and counter is
+// the serial loop's; only the order of records that start at the same
+// instant in different groups is fixed by group (mergeRecords) rather than
+// by event order, so record order does not depend on GOMAXPROCS.
 func (s *Simulator) Run(trace *workload.Trace) (*metrics.Collector, error) {
+	arrivals, err := s.prepare(trace)
+	if err != nil {
+		return nil, err
+	}
+	if groups, nodeGroup := s.replayGroups(); groups > 1 && len(arrivals) > 0 {
+		s.mergeRecords(s.runGroups(arrivals, 0, true, groups, nodeGroup, runtime.GOMAXPROCS(0)))
+		// Events on nodes no group owns touch nothing else: they drain
+		// afterwards without moving the clock back.
+		clock := s.clock
+		s.runWindow(nil, 0, true)
+		s.clock = max(s.clock, clock)
+	} else {
+		s.runWindow(arrivals, 0, true)
+	}
+	// Trees that never reached their target (capacity-starved, donors all
+	// lost, or the trace simply ended) still report what they did.
+	for _, run := range s.fanoutLog {
+		s.mergeFanout(run)
+	}
+	return &s.collector, nil
+}
+
+// prepare resolves and time-sorts the trace's arrivals, enables the routing
+// index and sizes the collector for the replay.
+func (s *Simulator) prepare(trace *workload.Trace) ([]arrival, error) {
 	arrivals := make([]arrival, len(trace.Requests))
 	inOrder := true
 	for i, r := range trace.Requests {
-		fn, ok := s.fns[r.Function]
+		fr, ok := s.resolve(r.Function)
 		if !ok {
 			return nil, fmt.Errorf("simulate: trace references unknown function %q", r.Function)
 		}
-		arrivals[i] = arrival{at: r.At, fr: s.rt(fn)}
+		arrivals[i] = arrival{at: r.At, fr: fr}
 		if i > 0 && r.At < arrivals[i-1].at {
 			inOrder = false
 		}
@@ -461,19 +510,14 @@ func (s *Simulator) Run(trace *workload.Trace) (*metrics.Collector, error) {
 		s.enableIndex()
 	}
 	s.collector.Reserve(s.collector.Len() + len(arrivals))
-	s.runWindow(arrivals, 0, true)
-	// Trees that never reached their target (capacity-starved, donors all
-	// lost, or the trace simply ended) still report what they did.
-	for _, run := range s.fanoutLog {
-		s.mergeFanout(run)
-	}
-	return &s.collector, nil
+	return arrivals, nil
 }
 
 // runWindow replays time-sorted arrivals merged with pending events, firing
 // events strictly before limit (arrivals first at equal timestamps); final
 // drains the event heap completely. Run is one final window over the whole
-// trace; RunWindowed calls it per window and per partition worker.
+// trace, or over each group's share of it on the group workers; RunWindowed
+// calls it per window and per partition worker.
 func (s *Simulator) runWindow(arr []arrival, limit time.Duration, final bool) {
 	next := 0
 	for next < len(arr) || s.events.len() > 0 {
@@ -534,11 +578,10 @@ func (s *Simulator) RunStream(src workload.Cursor) (*metrics.Summary, error) {
 				return nil, fmt.Errorf("simulate: stream out of order: %v after %v", req.At, last)
 			}
 			last = req.At
-			fn, known := s.fns[req.Function]
+			fr, known := s.resolve(req.Function)
 			if !known {
 				return nil, fmt.Errorf("simulate: trace references unknown function %q", req.Function)
 			}
-			fr := s.rt(fn)
 			s.clock = req.At
 			s.arrive(fr, req.At)
 			req, ok = src.Next()

@@ -468,6 +468,11 @@ func (e *Env) GrantFor(fn *Function) int {
 
 // Policy decides how to serve a request on a node. ok=false means the node
 // cannot serve now (every container busy and no room) and the request queues.
+//
+// Serve may be called concurrently, with the same Env, for nodes in
+// different groups: Run and RunWindowed replay node groups that share no
+// function on parallel goroutines. It must not change state shared between
+// calls (a memo, a counter, an RNG), or records would vary from run to run.
 type Policy interface {
 	Name() string
 	Serve(env *Env, n *Node, fn *Function, now time.Duration) (Decision, bool)

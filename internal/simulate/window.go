@@ -1,8 +1,12 @@
 package simulate
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"runtime"
+	"runtime/debug"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -46,6 +50,13 @@ import (
 // Config.CrossCheckWindows keeps a second, fully serial simulator in
 // lockstep and compares the per-window record multisets, panicking on the
 // first divergence — the same oracle pattern as Config.CrossCheckRouting.
+//
+// Run uses the same machinery with one window over the whole trace: the
+// partition unions every resolved function's candidate nodes once, so it
+// covers every arrival, queue and container, and runGroups replays each group
+// on a forked worker. Placements that give each function one node (the
+// paper's load balancer, HashPlacement) or disjoint node groups split into
+// many groups; windows are only needed where bridge functions join them.
 
 // WindowReport describes how RunWindowed executed.
 type WindowReport struct {
@@ -77,11 +88,11 @@ func (r WindowReport) Windowed() bool { return r.SerialReason == "" }
 // cross-check fails loudly instead of silently agreeing.
 var windowCorruptHook func(window, group int, w *Simulator)
 
-// windowSerialReason names the coupling that forces RunWindowed onto the
-// serial streaming path, or "" when windowed replay is sound. Each coupling
-// makes request outcomes depend on global order, not just per-partition
-// order.
-func windowSerialReason(cfg Config, windows, workers int) string {
+// windowSerialReason names the coupling that makes request outcomes depend
+// on global order, not just per-group order, or "" when replaying node groups
+// on separate workers is exact. It gates both RunWindowed and Run's
+// group-parallel path.
+func windowSerialReason(cfg Config) string {
 	switch {
 	case cfg.Faults.Enabled():
 		return "fault injection draws from one global random stream"
@@ -91,12 +102,6 @@ func windowSerialReason(cfg Config, windows, workers int) string {
 		return "fan-out trees place replicas across all nodes"
 	case cfg.Health.Enabled:
 		return "health tracking couples the cluster latency baseline across all nodes"
-	case windows < 2:
-		return "fewer than two windows"
-	case workers == 1:
-		return "workers=1"
-	case cfg.Nodes < 2:
-		return "single node"
 	}
 	return ""
 }
@@ -187,10 +192,17 @@ func RunWindowed(cfg Config, fns []*Function, src workload.Cursor, duration time
 	}
 	dcfg := cfg.withDefaults()
 	report := WindowReport{Workers: workers}
-	if duration <= 0 {
+	switch reason := windowSerialReason(dcfg); {
+	case duration <= 0:
 		report.SerialReason = "no horizon"
-	} else {
-		report.SerialReason = windowSerialReason(dcfg, windows, workers)
+	case reason != "":
+		report.SerialReason = reason
+	case windows < 2:
+		report.SerialReason = "fewer than two windows"
+	case workers == 1:
+		report.SerialReason = "workers=1"
+	case dcfg.Nodes < 2:
+		report.SerialReason = "single node"
 	}
 	if report.SerialReason != "" {
 		sim := New(cfg, fns)
@@ -232,11 +244,11 @@ func RunWindowed(cfg Config, fns []*Function, src workload.Cursor, duration time
 				return nil, report, fmt.Errorf("simulate: stream out of order: %v after %v", pending.At, last)
 			}
 			last = pending.At
-			fn, known := s.fns[pending.Function]
+			fr, known := s.resolve(pending.Function)
 			if !known {
 				return nil, report, fmt.Errorf("simulate: trace references unknown function %q", pending.Function)
 			}
-			arr = append(arr, arrival{at: pending.At, fr: s.rt(fn)})
+			arr = append(arr, arrival{at: pending.At, fr: fr})
 			pending, ok = src.Next()
 		}
 		if len(arr) == 0 {
@@ -259,7 +271,8 @@ func RunWindowed(cfg Config, fns []*Function, src workload.Cursor, duration time
 		if crossCheck {
 			oArr := make([]arrival, len(arr))
 			for i, a := range arr {
-				oArr[i] = arrival{at: a.at, fr: oracle.rt(oracle.fns[a.fr.fn.Name])}
+				fr, _ := oracle.resolve(a.fr.fn.Name)
+				oArr[i] = arrival{at: a.at, fr: fr}
 			}
 			oracle.runWindow(oArr, end, final)
 			gotRecs := s.collector.Records()[sLast:]
@@ -286,37 +299,69 @@ func RunWindowed(cfg Config, fns []*Function, src workload.Cursor, duration time
 	return sum, report, nil
 }
 
-// windowPartition unions every active (arriving or queued) function's
-// candidate nodes and labels each node with its partition, ordered by the
-// smallest node ID each partition touches. Nodes no active function can
+// nodeUnion is a union-find over node IDs that joins the candidate nodes of
+// every function added to it.
+type nodeUnion struct {
+	parent  []int
+	touched []bool
+}
+
+func newNodeUnion(nodes int) nodeUnion {
+	u := nodeUnion{parent: make([]int, nodes), touched: make([]bool, nodes)}
+	for i := range u.parent {
+		u.parent[i] = i
+	}
+	return u
+}
+
+func (u nodeUnion) find(x int) int {
+	for u.parent[x] != x {
+		u.parent[x] = u.parent[u.parent[x]]
+		x = u.parent[x]
+	}
+	return x
+}
+
+// add joins fr's candidate nodes into one group.
+func (u nodeUnion) add(fr *fnRuntime) {
+	first := fr.cands[0].ID
+	u.touched[first] = true
+	for _, n := range fr.cands[1:] {
+		u.touched[n.ID] = true
+		u.parent[u.find(first)] = u.find(n.ID)
+	}
+}
+
+// groups labels each node with its group, numbering groups by the smallest
+// node ID each holds. Nodes no added function reaches stay at -1.
+func (u nodeUnion) groups() (groups int, nodeGroup []int) {
+	nodeGroup = make([]int, len(u.parent))
+	label := make([]int, len(u.parent)) // root → group+1
+	for id := range nodeGroup {
+		nodeGroup[id] = -1
+		if !u.touched[id] {
+			continue
+		}
+		r := u.find(id)
+		if label[r] == 0 {
+			groups++
+			label[r] = groups
+		}
+		nodeGroup[id] = label[r] - 1
+	}
+	return groups, nodeGroup
+}
+
+// windowPartition partitions the nodes by the candidate sets of every active
+// (arriving or queued) function of one window. Nodes no active function can
 // reach stay at -1: their pending events defer to a later window.
 func windowPartition(s *Simulator, arr []arrival) (groups int, nodeGroup []int) {
-	parent := make([]int, len(s.nodes))
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	touched := make([]bool, len(s.nodes))
-	unionFn := func(fr *fnRuntime) {
-		first := fr.cands[0].ID
-		touched[first] = true
-		for _, n := range fr.cands[1:] {
-			touched[n.ID] = true
-			parent[find(first)] = find(n.ID)
-		}
-	}
+	u := newNodeUnion(len(s.nodes))
 	seen := make(map[*fnRuntime]bool, 64)
 	for _, a := range arr {
 		if !seen[a.fr] {
 			seen[a.fr] = true
-			unionFn(a.fr)
+			u.add(a.fr)
 		}
 	}
 	// A queued function's drains touch its runtime and nodes exactly like
@@ -325,45 +370,79 @@ func windowPartition(s *Simulator, arr []arrival) (groups int, nodeGroup []int) 
 		for _, q := range n.queue {
 			if !seen[q.fr] {
 				seen[q.fr] = true
-				unionFn(q.fr)
+				u.add(q.fr)
 			}
 		}
 	}
-	nodeGroup = make([]int, len(s.nodes))
-	rootMin := make(map[int]int)
-	for id := range s.nodes {
-		nodeGroup[id] = -1
-		if touched[id] {
-			r := find(id)
-			if m, ok := rootMin[r]; !ok || id < m {
-				rootMin[r] = id
-			}
-		}
+	return u.groups()
+}
+
+// replayGroups partitions the nodes for Run by the candidate sets of every
+// function resolved so far, which covers the trace and whatever containers
+// and queues an earlier Run left behind. It reports 0 groups, keeping Run on
+// one goroutine, when windowSerialReason finds a coupling or the plan cache
+// is bounded: a shared LRU's evictions, and so its hit and miss counts,
+// would depend on how the workers interleave.
+func (s *Simulator) replayGroups() (groups int, nodeGroup []int) {
+	if windowSerialReason(s.cfg) != "" || s.cfg.PlanCacheMax != 0 {
+		return 0, nil
 	}
-	mins := make([]int, 0, len(rootMin))
-	for _, m := range rootMin {
-		mins = append(mins, m)
+	u := newNodeUnion(len(s.nodes))
+	for _, fr := range s.fnRt {
+		u.add(fr) // unions commute: the partition is independent of map order
 	}
-	sort.Ints(mins)
-	groupOfRoot := make(map[int]int, len(mins))
-	for gi, m := range mins {
-		groupOfRoot[find(m)] = gi
-	}
-	for id := range s.nodes {
-		if touched[id] {
-			nodeGroup[id] = groupOfRoot[find(id)]
-		}
-	}
-	return len(mins), nodeGroup
+	return u.groups()
 }
 
 // runWindowParallel replays one window across partition workers and merges
 // the results back deterministically (partitions in min-node order).
 func (s *Simulator) runWindowParallel(arr []arrival, end time.Duration, final bool, groups int, nodeGroup []int, workers, wi int, crossCheck bool, sum *metrics.Summary) {
-	// Partition pending events by owning node; events on unowned nodes (or
-	// of kinds the partition argument doesn't cover — impossible under the
-	// preconditions, but guarded) defer to a later window.
-	perGroupEvents := make([][]event, groups)
+	for g, w := range s.runGroups(arr, end, final, groups, nodeGroup, workers) {
+		if windowCorruptHook != nil {
+			windowCorruptHook(wi, g, w)
+		}
+		for _, r := range w.collector.Records() {
+			if crossCheck {
+				s.collector.Add(r)
+			} else {
+				sum.Observe(r)
+			}
+		}
+	}
+}
+
+// WorkerPanic is the value Run and RunWindowed panic with when a group
+// worker panicked: the worker's own panic value and the worker goroutine's
+// stack at the panic, which re-raising on the caller's goroutine would
+// otherwise lose.
+type WorkerPanic struct {
+	Value any
+	Stack []byte
+}
+
+func (p *WorkerPanic) Error() string {
+	return fmt.Sprintf("simulate: group worker panicked: %v\n\nworker goroutine stack:\n%s", p.Value, p.Stack)
+}
+
+// runGroups replays arrivals and pending events split by group, firing events
+// before limit (all of them when final), and returns the workers in group
+// order; each worker's collector holds its group's records in serial order.
+// Every group gets a forked worker with the pending events of its nodes and
+// its arrivals, in their original order. Up to `workers` groups run at once,
+// the one with the most arrivals first. Afterwards the workers' leftover
+// events (in group order) and then the events on nodes no group owns are
+// back on s's heap, their fault, fan-out and transform tallies are folded
+// into s, and s's clock is the latest worker clock (arr must be non-empty, so
+// some worker fires). A worker's panic is re-raised here, as a *WorkerPanic
+// carrying the worker's stack, once every worker has stopped.
+func (s *Simulator) runGroups(arr []arrival, limit time.Duration, final bool, groups int, nodeGroup []int, workers int) []*Simulator {
+	ws := make([]*Simulator, groups)
+	for g := range ws {
+		ws[g] = s.forkWorker()
+	}
+	// Pending events go to the worker of their node's group; events on
+	// unowned nodes (or of kinds the partition argument doesn't cover —
+	// impossible under the preconditions, but guarded) stay with s.
 	var deferred []event
 	for s.events.len() > 0 {
 		ev := s.events.pop()
@@ -375,56 +454,116 @@ func (s *Simulator) runWindowParallel(arr []arrival, end time.Duration, final bo
 			deferred = append(deferred, ev)
 			continue
 		}
-		perGroupEvents[g] = append(perGroupEvents[g], ev)
+		ws[g].schedule(ev)
 	}
-	perGroupArr := make([][]arrival, groups)
+	// Each group keeps its arrivals in their original order.
+	counts := make([]int, groups)
+	for _, a := range arr {
+		counts[nodeGroup[a.fr.cands[0].ID]]++
+	}
+	perGroup := make([][]arrival, groups)
+	for g := range perGroup {
+		perGroup[g] = make([]arrival, 0, counts[g])
+	}
 	for _, a := range arr {
 		g := nodeGroup[a.fr.cands[0].ID]
-		perGroupArr[g] = append(perGroupArr[g], a)
+		perGroup[g] = append(perGroup[g], a)
 	}
 
-	ws := make([]*Simulator, groups)
-	sem := make(chan struct{}, workers)
+	order := make([]int, groups)
+	for g := range order {
+		order[g] = g
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(len(perGroup[b]), len(perGroup[a])) })
+	queue := make(chan int, groups)
+	for _, g := range order {
+		queue <- g
+	}
+	close(queue)
+	panics := make([]any, groups)
 	var wg sync.WaitGroup
-	for g := 0; g < groups; g++ {
-		w := s.forkWorker()
-		for _, ev := range perGroupEvents[g] {
-			w.schedule(ev)
-		}
-		w.collector.Reserve(len(perGroupArr[g]))
-		ws[g] = w
+	for i := 0; i < min(workers, groups); i++ {
 		wg.Add(1)
-		go func(g int, w *Simulator) {
+		go func() {
 			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			w.runWindow(perGroupArr[g], end, final)
-		}(g, w)
+			for g := range queue {
+				func() {
+					defer func() {
+						if p := recover(); p != nil {
+							panics[g] = &WorkerPanic{Value: p, Stack: debug.Stack()}
+						}
+					}()
+					w := ws[g]
+					w.collector.Reserve(len(perGroup[g]))
+					w.runWindow(perGroup[g], limit, final)
+				}()
+			}
+		}()
 	}
 	wg.Wait()
-
-	for g, w := range ws {
-		if windowCorruptHook != nil {
-			windowCorruptHook(wi, g, w)
+	for _, p := range panics {
+		if p != nil {
+			//optimus:allow panicpath — re-raises a group worker's panic on the caller's goroutine
+			panic(p)
 		}
+	}
+
+	for _, w := range ws {
 		// Leftover worker events re-enter the authoritative heap in worker
 		// (at, seq) order; deferred unowned events follow, also in order.
 		for w.events.len() > 0 {
 			s.schedule(w.events.pop())
-		}
-		for _, r := range w.collector.Records() {
-			if crossCheck {
-				s.collector.Add(r)
-			} else {
-				sum.Observe(r)
-			}
 		}
 		s.collector.Faults.Merge(w.collector.Faults)
 		s.collector.Fanout.Merge(w.collector.Fanout)
 		s.TransformsVerified += w.TransformsVerified
 		s.TransformsFailed += w.TransformsFailed
 	}
+	s.clock = slices.MaxFunc(ws, func(a, b *Simulator) int { return cmp.Compare(a.clock, b.clock) }).clock
 	for _, ev := range deferred {
 		s.schedule(ev)
+	}
+	return ws
+}
+
+// mergeRecords appends the group workers' records to s's collector ordered
+// by Start, equal Starts by group (lowest node ID first). Each worker's
+// records are already in Start order, so this is a k-way merge that copies,
+// at each step, the run of records the earliest group holds before any other
+// group's next record.
+func (s *Simulator) mergeRecords(ws []*Simulator) {
+	heads := make([][]metrics.Record, 0, len(ws))
+	for _, w := range ws {
+		if recs := w.collector.Records(); len(recs) > 0 {
+			heads = append(heads, recs)
+		}
+	}
+	for len(heads) > 0 {
+		best := 0
+		for i := 1; i < len(heads); i++ {
+			if heads[i][0].Start < heads[best][0].Start {
+				best = i
+			}
+		}
+		// The run stops at the other groups' earliest Start: before it when
+		// the lowest group holding that Start precedes best, after it
+		// otherwise.
+		limit, lowerAtLimit := time.Duration(math.MaxInt64), false
+		for i, h := range heads {
+			if i != best && h[0].Start < limit {
+				limit, lowerAtLimit = h[0].Start, i < best
+			}
+		}
+		recs := heads[best]
+		n := 1
+		for n < len(recs) && (recs[n].Start < limit || recs[n].Start == limit && !lowerAtLimit) {
+			n++
+		}
+		for _, r := range recs[:n] {
+			s.collector.Add(r)
+		}
+		if heads[best] = recs[n:]; len(heads[best]) == 0 {
+			heads = slices.Delete(heads, best, best+1)
+		}
 	}
 }
