@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet fmt lint lintguard test race bench bench-scale bench-stream bench-soak bench-recovery bench-fanout bench-gateway microbench benchguard scaleguard streamguard soakguard recoveryguard fanoutguard gatewayguard benchtest fuzz check
+.PHONY: build vet fmt lint lintguard test race bench-scale bench-stream bench-soak bench-recovery bench-fanout bench-gateway microbench precomputeguard scaleguard streamguard soakguard recoveryguard fanoutguard gatewayguard benchtest fuzz check
 
 build:
 	$(GO) build ./...
@@ -42,11 +42,6 @@ test:
 race:
 	$(GO) test -race ./...
 
-# bench runs the reproducible benchmark baseline harness and leaves
-# BENCH_planner.json + BENCH_sim.json in the repo root.
-bench:
-	$(GO) run ./cmd/optimus-bench bench
-
 # bench-scale runs the simulator hot-path scaling benchmark (1M-request
 # trace, serial/scan vs indexed, plus the constant-memory streaming section
 # at 10M requests and windowed vs serial streaming replay) and leaves
@@ -86,12 +81,11 @@ bench-gateway:
 microbench:
 	$(GO) test -bench=. -benchmem .
 
-# benchguard is the benchmark regression gate: the bench harness must emit
-# complete BENCH_*.json artifacts, parallel precompute must match serial
-# byte-for-byte, and (on multicore) must not be slower; the -bench smoke
-# keeps the precompute benchmarks compiling and running.
-benchguard:
-	$(GO) test -run 'TestBench' -bench 'BenchmarkPrecompute' -benchtime=1x ./internal/experiments
+# precomputeguard checks that the parallel registration warm-up is not
+# slower than one worker on ≥4 cores; the -bench smoke keeps the precompute
+# benchmarks compiling and running.
+precomputeguard:
+	$(GO) test -run 'TestParallelPrecomputeNotSlower' -bench 'BenchmarkPrecompute' -benchtime=1x ./internal/planner
 
 # scaleguard validates the checked-in BENCH_sim_scale.json (indexed replay
 # must not be slower than the scan baseline, and its records must equal the
@@ -153,4 +147,4 @@ fuzz:
 # project linter with its JSON gate), a full build, the test suite under the
 # race detector (the gateway stress test needs it), the benchmark
 # regression guards, and the repo benchmark's own tests.
-check: fmt vet lintguard build race benchguard scaleguard streamguard soakguard recoveryguard fanoutguard gatewayguard benchtest
+check: fmt vet lintguard build race precomputeguard scaleguard streamguard soakguard recoveryguard fanoutguard gatewayguard benchtest

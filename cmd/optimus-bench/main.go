@@ -33,8 +33,7 @@ func main() {
 		horizon = flag.Duration("horizon", 24*time.Hour, "workload horizon for the end-to-end experiments")
 		pairs   = flag.Int("pairs", 500, "random pairs for fig12")
 		chaosRt = flag.String("chaos-rates", "", "comma-separated fault rates for the chaos/recovery sweeps (defaults per experiment)")
-		outDir  = flag.String("out", ".", "directory for the bench experiment's BENCH_*.json artifacts")
-		planWrk = flag.Int("plan-workers", 0, "parallel planning workers for the bench experiment (0 = GOMAXPROCS)")
+		outDir  = flag.String("out", ".", "directory for the BENCH_*.json artifacts")
 		scaleN  = flag.Int("scale-requests", 0, "trace size for the scale experiment (0 = 1M, or 50k with -quick)")
 		stream  = flag.Bool("stream", false, "add the constant-memory streaming section to the scale experiment")
 		streamN = flag.Int("stream-requests", 0, "streaming replay size for scale -stream (0 = 10M, or 500k with -quick)")
@@ -68,8 +67,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: optimus-bench [flags] <experiment>... | all")
 		fmt.Fprintln(os.Stderr, "experiments: fig2 fig3 fig4 fig5a fig5c fig8 fig11 fig12 fig13 fig14 fig15 fig16 table1")
 		fmt.Fprintln(os.Stderr, "ablations:   ablation-planner ablation-safeguard ablation-cache ablation-balancer ablation-idle ablation-online ablation-alloc sweep-nodes sweep-load chaos recovery")
-		fmt.Fprintln(os.Stderr, "baselines:   bench (emits BENCH_planner.json + BENCH_sim.json into -out)")
-		fmt.Fprintln(os.Stderr, "             scale (replays one trace scan/indexed, -stream adds streaming + windowed; emits BENCH_sim_scale.json into -out)")
+		fmt.Fprintln(os.Stderr, "baselines:   scale (replays one trace scan/indexed, -stream adds streaming + windowed; emits BENCH_sim_scale.json into -out)")
 		fmt.Fprintln(os.Stderr, "             soak (chaos soak, baseline vs resilient; emits BENCH_soak.json into -out)")
 		fmt.Fprintln(os.Stderr, "             fanout (burst fan-out trees vs independent transforms; emits BENCH_fanout.json into -out)")
 		fmt.Fprintln(os.Stderr, "             gateway (multi-gateway scaling + shared-vs-isolated plan cache; emits BENCH_gateway.json into -out)")
@@ -199,13 +197,6 @@ func main() {
 		case "soak":
 			r := experiments.Soak(o, *horizon)
 			if err := r.WriteFile(*outDir); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			out, result = r.Render(), r
-		case "bench":
-			r := experiments.Bench(o, setup, *planWrk)
-			if err := r.WriteFiles(*outDir); err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)
 			}

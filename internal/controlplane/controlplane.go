@@ -15,8 +15,10 @@
 // rejoin, join) holds it for write. Ring ownership is therefore frozen for
 // the duration of any single request, which keeps the cross-gateway
 // singleflight one-hop by construction: a non-owner miss pulls through the
-// owner's loader-free GetOrPlanLocal, and no pull can chain into a second
-// pull or wait across a membership change.
+// owner's loader-free GetOrCostLocal, and no pull can chain into a second
+// pull or wait across a membership change. Members exchange pairs as the
+// cache holds them — a Cost and, until some member builds the steps, the
+// pairing they are built from — so no pull builds steps on the request path.
 package controlplane
 
 import (
@@ -28,7 +30,6 @@ import (
 
 	"repro/internal/gateway"
 	"repro/internal/health"
-	"repro/internal/metaop"
 	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/planner"
@@ -208,26 +209,26 @@ func (cl *Cluster) ownsPair(name, src, dst string) bool {
 }
 
 // loaderFor builds the cross-gateway plan loader for m: a local miss pulls
-// from the pair's ring owner (one hop — the owner's side never consults its
-// own loader), tallying pulls and replicating hot pairs. Self-owned or
+// the pair from its ring owner (one hop — the owner's side never consults
+// its own loader), tallying pulls and replicating hot pairs. Self-owned or
 // unroutable pairs return false and plan locally.
-func (cl *Cluster) loaderFor(m *member) func(src, dst *model.Graph) (*metaop.Plan, bool) {
-	return func(src, dst *model.Graph) (*metaop.Plan, bool) {
+func (cl *Cluster) loaderFor(m *member) func(src, dst *model.Graph) (planner.Costed, bool) {
+	return func(src, dst *model.Graph) (planner.Costed, bool) {
 		key := pairKey(src.Name, dst.Name)
 		// Ring reads are safe here: the serving path that triggered this
 		// miss holds topo for read, so ownership cannot move mid-pull.
 		owner, ok := cl.ring.Owner(key)
 		if !ok || owner == m.name {
-			return nil, false
+			return planner.Costed{}, false
 		}
 		cl.mu.Lock()
 		tgt, live := cl.members[owner]
 		cl.mu.Unlock()
 		if !live {
-			return nil, false
+			return planner.Costed{}, false
 		}
 		env := tgt.gw.Env()
-		p := env.Plans.GetOrPlanLocal(env.Planner, src, dst)
+		k := env.Plans.GetOrCostLocal(env.Planner, src, dst)
 
 		cl.mu.Lock()
 		tgt.pulls++
@@ -244,13 +245,13 @@ func (cl *Cluster) loaderFor(m *member) func(src, dst *model.Graph) (*metaop.Pla
 			sort.Slice(targets, func(i, j int) bool { return targets[i].name < targets[j].name })
 		}
 		cl.mu.Unlock()
-		// Hot pair: push the plan to every other member so future misses
+		// Hot pair: push it to every other member so future misses
 		// everywhere become local hits (the puller's own insert happens in
-		// its GetOrPlan flight).
+		// its lookup's flight).
 		for _, om := range targets {
-			om.gw.Env().Plans.Put(src, dst, p)
+			om.gw.Env().Plans.Put(src, dst, k)
 		}
-		return p, true
+		return k, true
 	}
 }
 
@@ -377,11 +378,12 @@ func (cl *Cluster) PlanningQuiesce() {
 }
 
 // Drain removes a member gracefully: it stops receiving registrations,
-// finishes its planning backlog, leaves the ring, hands every plan it holds
-// to the pairs' new owners, and departs. The topology write lock makes the
-// leave-plus-handoff atomic with respect to serving: a request either routed
-// to the member before the drain (and was fully served), or routes to the
-// new owner and finds the copied plan — no request observes the gap, so
+// finishes its planning backlog, leaves the ring, hands every pair it holds,
+// cost-only ones included, to the pairs' new owners, and departs. The
+// topology write lock makes the leave-plus-handoff atomic with respect to
+// serving: a request either routed to the member before the drain (and was
+// fully served), or routes to the new owner and finds the copied pair — no
+// request observes the gap, so
 // nothing is lost and nothing is planned twice.
 func (cl *Cluster) Drain(name string) error {
 	cl.mu.Lock()
@@ -416,9 +418,10 @@ func (cl *Cluster) Drain(name string) error {
 	return nil
 }
 
-// handoffLocked copies every plan the leaving (or joining — see Join) side
-// owes to its current ring owner. Callers hold topo exclusively; the catalog
-// is enumerated in registration order so the copy pass is deterministic.
+// handoffLocked copies every pair the leaving side holds, cost-only or
+// with steps, to the pair's current ring owner. Callers hold topo
+// exclusively; the catalog is enumerated in registration order so the copy
+// pass is deterministic.
 func (cl *Cluster) handoffLocked(from *member) {
 	cl.mu.Lock()
 	names := append([]string(nil), cl.order...)
@@ -433,7 +436,7 @@ func (cl *Cluster) handoffLocked(from *member) {
 			if srcName == dstName {
 				continue
 			}
-			p, ok := env.Plans.Get(graphs[srcName], graphs[dstName])
+			k, ok := env.Plans.Get(graphs[srcName], graphs[dstName])
 			if !ok {
 				continue
 			}
@@ -445,7 +448,7 @@ func (cl *Cluster) handoffLocked(from *member) {
 			tgt, live := cl.members[owner]
 			cl.mu.Unlock()
 			if live {
-				tgt.gw.Env().Plans.Put(graphs[srcName], graphs[dstName], p)
+				tgt.gw.Env().Plans.Put(graphs[srcName], graphs[dstName], k)
 			}
 		}
 	}
@@ -503,8 +506,8 @@ func (cl *Cluster) Join(name string) error {
 			if !live {
 				continue
 			}
-			if p, ok := old.gw.Env().Plans.Get(graphs[s], graphs[d]); ok {
-				env.Plans.Put(graphs[s], graphs[d], p)
+			if k, ok := old.gw.Env().Plans.Get(graphs[s], graphs[d]); ok {
+				env.Plans.Put(graphs[s], graphs[d], k)
 			}
 		}
 	}
@@ -623,11 +626,11 @@ type Rule struct {
 func Protocol() []Rule {
 	return []Rule{
 		{"invoke", "route-to-owner", "the entry member resolves the function's ring owner and forwards; the owner serves and records the request"},
-		{"plan-miss", "pull-from-owner", "a non-owner cache miss pulls the plan from the pair's ring owner in one hop (the owner side never pulls again); pulls are singleflighted per pair"},
+		{"plan-miss", "pull-from-owner", "a non-owner cache miss pulls the pair's entry (its cost, with its steps or the pairing that builds them) from the pair's ring owner in one hop (the owner side never pulls again); pulls are singleflighted per pair"},
 		{"hot-pair", "replicate", "a pair pulled ReplicateThreshold times is pushed to every member's cache, making later misses local hits"},
 		{"register", "broadcast", "models register on every non-draining member; each member precomputes only the pairs it owns on the ring"},
 		{"suspect", "deown", "a member the health tracker flags is removed from the ring but kept alive with its cache intact; requests route around it"},
 		{"recovered", "rejoin", "a de-owned member that clears the health tracker re-enters the ring, taking back only its own keys"},
-		{"drain", "handoff", "a draining member finishes its planning backlog, leaves the ring, copies every plan it holds to the new owners under the topology write lock, and departs"},
+		{"drain", "handoff", "a draining member finishes its planning backlog, leaves the ring, copies every pair it holds, cost-only ones included, to the new owners under the topology write lock, and departs"},
 	}
 }

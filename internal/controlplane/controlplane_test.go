@@ -1,11 +1,14 @@
 package controlplane
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/gateway"
 	"repro/internal/model"
+	"repro/internal/planner"
 	"repro/internal/simulate"
 	"repro/internal/zoo"
 )
@@ -115,7 +118,9 @@ func TestRoutingDeterministicAndForwarded(t *testing.T) {
 
 // TestOwnedPairsPlannedExactlyOnce: with precompute on and the ring filter
 // installed, each ordered pair is planned by exactly one member cluster-wide
-// — the cross-gateway extension of the singleflight guarantee.
+// — the cross-gateway extension of the singleflight guarantee. A pair counts
+// as planned once it is costed or planned (Planned+Costed, which with no
+// steps built is Misses−Remote).
 func TestOwnedPairsPlannedExactlyOnce(t *testing.T) {
 	clock := &fakeClock{}
 	cl := testCluster(t, 4, clock, nil)
@@ -127,14 +132,15 @@ func TestOwnedPairsPlannedExactlyOnce(t *testing.T) {
 	}
 	cl.PlanningQuiesce()
 
-	totalPlanned := 0
+	totalPlanned, totalFirst := 0, 0
 	for _, row := range cl.Stats().Members {
-		totalPlanned += row.Cache.Planned
+		totalPlanned += row.Cache.Planned + row.Cache.Costed
+		totalFirst += row.Cache.Misses - row.Cache.Remote
 	}
 	wantPairs := len(models) * (len(models) - 1)
-	if totalPlanned != wantPairs {
-		t.Errorf("cluster planned %d pairs for a %d-pair catalog (duplicate or lost planning)",
-			totalPlanned, wantPairs)
+	if totalPlanned != wantPairs || totalFirst != wantPairs {
+		t.Errorf("cluster planned+costed %d (misses−remote %d) pairs for a %d-pair catalog (duplicate or lost planning)",
+			totalPlanned, totalFirst, wantPairs)
 	}
 
 	// Every pair must live in its owner's cache.
@@ -169,7 +175,7 @@ func TestDrainHandsOffPlans(t *testing.T) {
 	cl.PlanningQuiesce()
 	plannedBefore := 0
 	for _, row := range cl.Stats().Members {
-		plannedBefore += row.Cache.Planned
+		plannedBefore += row.Cache.Planned + row.Cache.Costed
 	}
 
 	const victim = "gw-1"
@@ -207,7 +213,7 @@ func TestDrainHandsOffPlans(t *testing.T) {
 	// have planned anything new (the handoff copies, never re-plans).
 	plannedAfter := 0
 	for _, row := range cl.Stats().Members {
-		plannedAfter += row.Cache.Planned
+		plannedAfter += row.Cache.Planned + row.Cache.Costed
 	}
 	if plannedAfter >= plannedBefore {
 		t.Errorf("survivors planned new pairs during drain: cluster planned %d before, survivors hold %d",
@@ -223,8 +229,8 @@ func TestDrainHandsOffPlans(t *testing.T) {
 }
 
 // TestSharedCachePullAndReplicate: with precompute off, a non-owner miss
-// pulls from the owner (Remote, not Planned), and a pair pulled twice is
-// replicated everywhere.
+// pulls from the owner (Remote, not Planned or Costed), and a pair pulled
+// twice is replicated everywhere.
 func TestSharedCachePullAndReplicate(t *testing.T) {
 	clock := &fakeClock{}
 	cl := testCluster(t, 3, clock, func(c *Config) { c.Precompute = false })
@@ -250,10 +256,10 @@ func TestSharedCachePullAndReplicate(t *testing.T) {
 	cl.PlanningQuiesce()
 
 	st := cl.Stats()
-	totalPlanned, totalRemote := 0, 0
+	totalPlanned, totalFirst := 0, 0
 	for _, row := range st.Members {
-		totalPlanned += row.Cache.Planned
-		totalRemote += row.Cache.Remote
+		totalPlanned += row.Cache.Planned + row.Cache.Costed
+		totalFirst += row.Cache.Misses - row.Cache.Remote
 	}
 	if totalPlanned == 0 {
 		t.Error("no plans demanded — load too light to exercise the cache")
@@ -276,9 +282,9 @@ func TestSharedCachePullAndReplicate(t *testing.T) {
 			}
 		}
 	}
-	if totalPlanned != len(distinct) {
-		t.Errorf("cluster planned %d pairs but %d distinct pairs are cached: duplicate planning across gateways",
-			totalPlanned, len(distinct))
+	if totalPlanned != len(distinct) || totalFirst != len(distinct) {
+		t.Errorf("cluster planned+costed %d (misses−remote %d) pairs but %d distinct pairs are cached: duplicate planning across gateways",
+			totalPlanned, totalFirst, len(distinct))
 	}
 }
 
@@ -380,8 +386,8 @@ func TestJoinWarmsWithoutReplanning(t *testing.T) {
 		t.Fatal("joiner missing")
 	}
 	ct := gw.Env().Plans.Counters()
-	if ct.Planned != 0 {
-		t.Errorf("joiner planned %d pairs; the warm handoff should have made them all hits", ct.Planned)
+	if ct.Planned != 0 || ct.Costed != 0 {
+		t.Errorf("joiner planned %d and costed %d pairs; the warm handoff should have made them all hits", ct.Planned, ct.Costed)
 	}
 	// The joiner owns something and serves it.
 	owned := 0
@@ -406,4 +412,96 @@ func TestJoinWarmsWithoutReplanning(t *testing.T) {
 			}
 		}
 	}
+}
+
+// holds reports whether gw's plan cache already holds src→dst, and returns
+// the pair: a held pair is a hit, so the lookup computes and counts nothing
+// new as a miss.
+func holds(gw *gateway.Gateway, src, dst *model.Graph) (planner.Costed, bool) {
+	env := gw.Env()
+	before := env.Plans.Counters().Misses
+	k := env.Plans.GetOrCost(env.Planner, src, dst)
+	return k, env.Plans.Counters().Misses == before
+}
+
+// TestHandoffCopiesCostOnlyEntries: a pair a member holds only as a cost —
+// costed through GetOrCost, no steps built — moves to the pair's new owner
+// on Drain and on Join, and the steps later built from the copy are the
+// steps a fresh serial plan has.
+func TestHandoffCopiesCostOnlyEntries(t *testing.T) {
+	models := testModels(t, 5)
+	costAll := func(t *testing.T, cl *Cluster) map[string]*planner.Planner {
+		t.Helper()
+		planners := map[string]*planner.Planner{}
+		for _, src := range models {
+			for _, dst := range models {
+				if src == dst {
+					continue
+				}
+				owner, _ := cl.Owner(pairKey(src.Name, dst.Name))
+				gw, _ := cl.Member(owner)
+				env := gw.Env()
+				env.Plans.GetOrCost(env.Planner, src, dst)
+				planners[pairKey(src.Name, dst.Name)] = env.Planner
+			}
+		}
+		return planners
+	}
+	check := func(t *testing.T, cl *Cluster, planners map[string]*planner.Planner) {
+		t.Helper()
+		n := 0
+		for _, src := range models {
+			for _, dst := range models {
+				if src == dst {
+					continue
+				}
+				key := pairKey(src.Name, dst.Name)
+				owner, _ := cl.Owner(key)
+				gw, _ := cl.Member(owner)
+				k, ok := holds(gw, src, dst)
+				if !ok {
+					t.Errorf("pair %s→%s: new owner %s does not hold the handed-off entry", src.Name, dst.Name, owner)
+					continue
+				}
+				if !reflect.DeepEqual(k.Plan(), planners[key].Plan(src, dst)) {
+					t.Errorf("pair %s→%s: steps built from the handed-off entry differ from a serial plan", src.Name, dst.Name)
+				}
+				n++
+			}
+		}
+		if n == 0 {
+			t.Fatal("no pair checked")
+		}
+	}
+	noPrecompute := func(c *Config) { c.Precompute = false }
+
+	t.Run("drain", func(t *testing.T) {
+		clock := &fakeClock{}
+		cl := testCluster(t, 3, clock, noPrecompute)
+		for _, m := range models {
+			if err := cl.RegisterModel(m); err != nil {
+				t.Fatal(err)
+			}
+		}
+		planners := costAll(t, cl)
+		if err := cl.Drain("gw-1"); err != nil {
+			t.Fatal(err)
+		}
+		check(t, cl, planners)
+	})
+	t.Run("join", func(t *testing.T) {
+		clock := &fakeClock{}
+		cl := testCluster(t, 2, clock, noPrecompute)
+		for _, m := range models {
+			if err := cl.RegisterModel(m); err != nil {
+				t.Fatal(err)
+			}
+		}
+		planners := costAll(t, cl)
+		if err := cl.Join("gw-2"); err != nil {
+			t.Fatal(err)
+		}
+		cl.PlanningQuiesce()
+		check(t, cl, planners)
+	})
 }

@@ -58,6 +58,9 @@ func secs(d time.Duration) string {
 
 func pct(f float64) string { return fmt.Sprintf("%.1f%%", 100*f) }
 
+// msF is d in fractional milliseconds, as the BENCH artifacts record it.
+func msF(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+
 // reweight returns a clone of g whose weighted operations carry fresh weight
 // identities from the given scope — "the same model with different weights"
 // used on the Fig 11 diagonal and in the strawman Case 1.

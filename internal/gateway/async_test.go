@@ -157,12 +157,12 @@ func TestAsyncPlanningStress(t *testing.T) {
 	}
 
 	// No duplicate planning: the cache is unbounded here, so every computed
-	// plan landed on a distinct key — singleflight collapsed every race
+	// pair landed on a distinct key — singleflight collapsed every race
 	// between registrations and inline request-path fallbacks.
 	ct := env.Plans.Counters()
-	if ct.Planned != env.Plans.Len() {
-		t.Errorf("planned %d plans for %d cached keys: duplicate planning slipped past singleflight",
-			ct.Planned, env.Plans.Len())
+	if ct.Planned+ct.Costed != ct.Size || ct.Misses-ct.Remote != ct.Size {
+		t.Errorf("planned+costed %d (misses−remote %d) for %d cached keys: duplicate planning slipped past singleflight",
+			ct.Planned+ct.Costed, ct.Misses-ct.Remote, ct.Size)
 	}
 	if ct.Evictions != 0 {
 		t.Errorf("unbounded cache evicted %d plans", ct.Evictions)

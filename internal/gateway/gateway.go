@@ -617,11 +617,12 @@ func (g *Gateway) planningStats() map[string]any {
 			"misses":    ct.Misses,
 			"hit_ratio": hitRatio,
 			"planned":   ct.Planned,
+			"costed":    ct.Costed,
 			"deduped":   ct.Deduped,
 			"evictions": ct.Evictions,
 		},
 		"plan_time": map[string]any{
-			"count":    ct.Planned,
+			"count":    pt.Count,
 			"total_ms": msF(pt.Total),
 			"max_ms":   msF(pt.Max),
 			"p50_ms":   msF(pt.P50),

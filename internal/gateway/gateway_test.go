@@ -195,7 +195,8 @@ func TestPlanEndpoint(t *testing.T) {
 }
 
 // TestPlanCachePrewarm verifies Module 3's planning-strategy caching: after
-// registrations quiesce, plans between registered models are cache hits.
+// registrations quiesce, pairs between registered models are cached with
+// their costs, and no steps have been built.
 func TestPlanCachePrewarm(t *testing.T) {
 	g, _, _ := newTestGateway(t)
 	img := zoo.Imgclsmob()
@@ -210,6 +211,37 @@ func TestPlanCachePrewarm(t *testing.T) {
 	}
 	if _, ok := env.Plans.Get(b, a); !ok {
 		t.Error("b→a plan not precomputed on registration")
+	}
+	if ct := env.Plans.Counters(); ct.Costed != 2 || ct.Planned != 0 {
+		t.Errorf("counters %+v: want both pairs costed and no steps built", ct)
+	}
+}
+
+// TestStatsPlanTimeCount: /api/stats times every planning operation, so
+// plan_time.count equals the cache's planned plus costed, the steps /api/plan
+// builds included.
+func TestStatsPlanTimeCount(t *testing.T) {
+	g, srv, _ := newTestGateway(t)
+	img := zoo.Imgclsmob()
+	for _, n := range []string{"resnet18-imagenet", "resnet34-imagenet", "vgg11-imagenet"} {
+		if err := g.RegisterModel(img.MustGet(n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g.PlanningQuiesce()
+	if resp, body := get(t, srv.URL+"/api/plan?src=resnet18-imagenet&dst=resnet34-imagenet"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("plan = %d %v", resp.StatusCode, body)
+	}
+	_, body := get(t, srv.URL+"/api/stats")
+	planning := body["planning"].(map[string]any)
+	cache := planning["cache"].(map[string]any)
+	count := planning["plan_time"].(map[string]any)["count"].(float64)
+	planned, costed := cache["planned"].(float64), cache["costed"].(float64)
+	if planned != 1 || costed != 6 {
+		t.Errorf("cache planned %v, costed %v; want the /api/plan steps and 6 cost passes", planned, costed)
+	}
+	if count != planned+costed {
+		t.Errorf("plan_time.count = %v, want planned+costed = %v", count, planned+costed)
 	}
 }
 

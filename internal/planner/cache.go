@@ -32,20 +32,20 @@ import (
 // registrations never repeats planning work.
 //
 // A cache may also carry a loader (SetLoader): the multi-gateway control
-// plane installs one so a local miss pulls the plan from the pair's ring
-// owner instead of re-running the planner — the cross-gateway extension of
-// the same singleflight idea. Loader fills are counted as Remote, not
-// Planned.
+// plane installs one so a local miss pulls the pair from its ring owner
+// instead of re-running the planner — the cross-gateway extension of the
+// same singleflight idea. Loader fills are counted as Remote, not Planned
+// or Costed.
 //
-// Donor selection needs only a pair's Cost, so an entry can hold a pair
-// before its plan exists: GetOrCost on a miss runs the planner's step-free
-// cost pass and keeps what the pair's mapping depends on (both planning
-// indexes, the solver and the estimates snapshot it was costed under), but
-// not the mapping itself. The steps are built on first demand (Costed.Plan,
-// or GetOrPlan on the pair) from a mapping recomputed under that snapshot,
-// so they are the steps a plan built at costing time would have had. A
-// cost-only entry counts against the bound and is evicted like any other;
-// Get and Len see only entries whose steps exist.
+// Every entry holds its pair's Cost. Donor selection needs only that, so an
+// entry can hold a pair before its plan exists: GetOrCost on a miss runs the
+// planner's step-free cost pass and keeps what the pair's mapping depends on
+// (both planning indexes, the solver and the estimates snapshot it was
+// costed under), but not the mapping itself. The steps are built on first
+// demand (Costed.Plan, or GetOrPlan on the pair) from a mapping recomputed
+// under that snapshot, so they are the steps a plan built at costing time
+// would have had. A cost-only entry counts against the bound and is evicted
+// like any other.
 type Cache struct {
 	shards []cacheShard
 	mask   uint64
@@ -61,7 +61,7 @@ type Cache struct {
 	// loader, when non-nil, is consulted on a miss before planning locally
 	// (inside the singleflight, so at most one loader call per pair is in
 	// flight). Set once via SetLoader before the cache sees concurrent use.
-	loader func(src, dst *model.Graph) (*metaop.Plan, bool)
+	loader func(src, dst *model.Graph) (Costed, bool)
 }
 
 // DefaultShards is the shard count of an unbounded cache: a power of two
@@ -86,8 +86,8 @@ type cacheShard struct {
 	// planned counts step constructions (a full plan, or the steps of a
 	// costed pair); costed counts step-free cost passes; deduped counts
 	// callers that piggybacked on another goroutine's in-flight computation
-	// instead of planning themselves; remote counts plans pulled through the
-	// loader instead of planned locally.
+	// instead of planning themselves; remote counts pairs pulled through the
+	// loader instead of computed locally.
 	planned, costed, deduped, remote int
 	// evictions counts entries dropped by the LRU bound.
 	evictions int
@@ -117,14 +117,11 @@ func (k cacheKey) shardIndex(mask uint64) uint64 {
 // lruEntry is one cached pair on a shard's recency list. Its fields other
 // than key are guarded by the shard's mutex.
 type lruEntry struct {
-	key cacheKey
+	key  cacheKey
+	cost Cost
 	// plan is the pair's plan; nil until its steps are built.
 	plan *metaop.Plan
-	// cost is the pair's Cost when costed is set.
-	cost   Cost
-	costed bool
-	// pairing builds the steps of a costed pair whose plan is still nil;
-	// zero once they are built.
+	// pairing builds the steps while plan is nil; zero once they are built.
 	pairing    pairing
 	prev, next *lruEntry
 }
@@ -184,9 +181,11 @@ func NewCacheSharded(limit, shards int) *Cache {
 }
 
 // SetLoader installs the remote-fill hook consulted on a local miss before
-// planning (the multi-gateway owner-pull protocol). Call it once, before the
-// cache sees concurrent use; a nil loader restores local-only planning.
-func (c *Cache) SetLoader(loader func(src, dst *model.Graph) (*metaop.Plan, bool)) {
+// planning (the multi-gateway owner-pull protocol): it returns the pair as
+// another cache holds it, which this cache then holds too (see Put). Call it
+// once, before the cache sees concurrent use; a nil loader restores
+// local-only planning.
+func (c *Cache) SetLoader(loader func(src, dst *model.Graph) (Costed, bool)) {
 	c.loader = loader
 }
 
@@ -263,14 +262,18 @@ func (s *cacheShard) lookup(k cacheKey) (*lruEntry, *flight) {
 }
 
 // insert must be called with s.mu held; it stores (or refreshes) the pair's
-// plan, cost and pairing from v and applies the LRU bound.
+// cost, plan and pairing from v and applies the LRU bound. An entry whose
+// steps are built keeps them unless v brings steps too, so no entry has its
+// steps built twice.
 func (s *cacheShard) insert(k cacheKey, v lruEntry) *lruEntry {
 	e, ok := s.m[k]
 	if !ok {
 		e = &lruEntry{key: k}
 		s.m[k] = e
 	}
-	e.plan, e.cost, e.costed, e.pairing = v.plan, v.cost, v.costed, v.pairing
+	if e.plan == nil || v.plan != nil {
+		e.cost, e.plan, e.pairing = v.cost, v.plan, v.pairing
+	}
 	s.moveToFront(e)
 	if ok {
 		return e
@@ -293,60 +296,46 @@ func (s *cacheShard) insert(k cacheKey, v lruEntry) *lruEntry {
 	return e
 }
 
-// Get returns the cached plan for src→dst, if any. A pair that is only
-// costed has no plan yet and counts as a miss. Get never consults the
-// loader: it reports strictly local occupancy.
-func (c *Cache) Get(src, dst *model.Graph) (*metaop.Plan, bool) {
+// Get returns the pair src→dst as this cache holds it, whether or not its
+// steps are built. It is a probe, not a lookup: it never consults the
+// loader, counts no hit or miss and leaves LRU recency alone.
+func (c *Cache) Get(src, dst *model.Graph) (Costed, bool) {
 	k := c.keyFor(src, dst)
 	s := c.shardFor(k)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if e, ok := s.m[k]; ok && e.plan != nil {
-		s.hits++
-		s.moveToFront(e)
-		return e.plan, true
+	e, ok := s.m[k]
+	if !ok {
+		return Costed{}, false
 	}
-	s.misses++
-	return nil, false
+	return Costed{Cost: e.cost, s: s, e: e}, true
 }
 
-// Put stores a plan for src→dst. The pair's Cost is derived from the plan
-// when it is next asked for.
-func (c *Cache) Put(src, dst *model.Graph, p *metaop.Plan) {
-	k := c.keyFor(src, dst)
-	s := c.shardFor(k)
+// Put stores pair k, held by this or another cache, as src→dst: its Cost,
+// and its steps if they are built, else the pairing that builds them. The
+// control plane copies pairs between gateways this way; a pairing is
+// immutable, so the copies can share it.
+func (c *Cache) Put(src, dst *model.Graph, k Costed) {
+	v := k.entry()
+	key := c.keyFor(src, dst)
+	s := c.shardFor(key)
 	s.mu.Lock()
-	s.insert(k, lruEntry{plan: p})
+	s.insert(key, v)
 	s.mu.Unlock()
 }
 
-// GetOrPlan returns the cached plan, pulls it through the loader (when one is
-// installed), or computes and caches one with pl. A pair that is only costed
-// gets its steps built from its pairing. Concurrent calls for the same pair
-// resolve it exactly once: the first caller loads or plans, the rest wait
-// for its result (singleflight).
+// GetOrPlan returns the pair's plan: the cached one, steps built now for a
+// pair held or pulled through the loader (when one is installed) without
+// them, or a plan computed and cached with pl. Concurrent calls for the same
+// pair resolve it exactly once: the first caller loads or plans, the rest
+// wait for its result (singleflight).
 func (c *Cache) GetOrPlan(pl *Planner, src, dst *model.Graph) *metaop.Plan {
-	return c.getOrPlan(pl, src, dst, c.loader)
-}
-
-// GetOrPlanLocal is GetOrPlan without the loader: a miss always plans
-// locally. The control plane uses it on the ring owner so an owner-side miss
-// never forwards again (plan pulls are one hop, by construction).
-func (c *Cache) GetOrPlanLocal(pl *Planner, src, dst *model.Graph) *metaop.Plan {
-	return c.getOrPlan(pl, src, dst, nil)
-}
-
-func (c *Cache) getOrPlan(pl *Planner, src, dst *model.Graph, loader func(src, dst *model.Graph) (*metaop.Plan, bool)) *metaop.Plan {
 	k := c.keyFor(src, dst)
 	s := c.shardFor(k)
 	s.mu.Lock()
 	e, f := s.lookup(k)
 	switch {
 	case e != nil:
-		if p := e.plan; p != nil {
-			s.mu.Unlock()
-			return p
-		}
 		s.mu.Unlock()
 		return s.steps(e)
 	case f != nil:
@@ -358,8 +347,8 @@ func (c *Cache) getOrPlan(pl *Planner, src, dst *model.Graph, loader func(src, d
 	s.flights[k] = f
 	s.mu.Unlock()
 
-	if e := s.load(k, f, loader, src, dst); e != nil {
-		return e.plan
+	if e := s.load(k, f, c.loader, src, dst); e != nil {
+		return s.steps(e)
 	}
 
 	t0 := time.Now() //optimus:allow wallclock — telemetry: measures real planning cost, never enters simulated time
@@ -368,7 +357,7 @@ func (c *Cache) getOrPlan(pl *Planner, src, dst *model.Graph, loader func(src, d
 	took := time.Since(t0) //optimus:allow wallclock — telemetry: pairs with the time.Now above
 
 	s.mu.Lock()
-	f.entry = s.insert(k, lruEntry{plan: p, cost: cst, costed: true})
+	f.entry = s.insert(k, lruEntry{cost: cst, plan: p})
 	delete(s.flights, k)
 	s.planned++
 	s.planTimes.Observe(took)
@@ -394,39 +383,53 @@ func (k Costed) Valid() bool { return k.e != nil }
 // costed.
 func (k Costed) Plan() *metaop.Plan { return k.s.steps(k.e) }
 
-// GetOrCost returns the Cost of src→dst: from the cached entry, from a plan
-// pulled through the loader (when one is installed), or from the planner's
-// step-free cost pass, whose pairing the cache keeps for building the
-// steps later. It touches hit/miss counters and LRU recency exactly as
-// GetOrPlan does, and a pair whose plan is cached takes its Cost from that
-// plan.
-// Concurrent calls for the same pair resolve it once (singleflight, shared
-// with GetOrPlan).
+// entry copies k's pair for another cache: its cost, and its plan or the
+// pairing that builds it.
+func (k Costed) entry() lruEntry {
+	k.s.mu.Lock()
+	defer k.s.mu.Unlock()
+	return lruEntry{cost: k.Cost, plan: k.e.plan, pairing: k.e.pairing}
+}
+
+// GetOrCost returns the Cost of src→dst: from the cached entry, from the
+// pair pulled through the loader (when one is installed), or from the
+// planner's step-free cost pass, whose pairing the cache keeps for building
+// the steps later. It touches hit/miss counters and LRU recency exactly as
+// GetOrPlan does. Concurrent calls for the same pair resolve it once
+// (singleflight, shared with GetOrPlan).
 func (c *Cache) GetOrCost(pl *Planner, src, dst *model.Graph) Costed {
+	return c.getOrCost(pl, src, dst, c.loader)
+}
+
+// GetOrCostLocal is GetOrCost without the loader: a miss always runs the
+// cost pass locally. Registration precompute uses it, and so does a ring
+// owner answering a pull, so an owner-side miss never forwards again (pulls
+// are one hop, by construction).
+func (c *Cache) GetOrCostLocal(pl *Planner, src, dst *model.Graph) Costed {
+	return c.getOrCost(pl, src, dst, nil)
+}
+
+func (c *Cache) getOrCost(pl *Planner, src, dst *model.Graph, loader func(src, dst *model.Graph) (Costed, bool)) Costed {
 	k := c.keyFor(src, dst)
 	s := c.shardFor(k)
 	s.mu.Lock()
 	e, f := s.lookup(k)
 	switch {
 	case e != nil:
-		if e.costed {
-			cst := e.cost
-			s.mu.Unlock()
-			return Costed{Cost: cst, s: s, e: e}
-		}
+		cst := e.cost
 		s.mu.Unlock()
-		return s.costOf(pl, e, src)
+		return Costed{Cost: cst, s: s, e: e}
 	case f != nil:
 		s.mu.Unlock()
 		<-f.done
-		return s.costOf(pl, f.entry, src)
+		return s.handle(f.entry)
 	}
 	f = &flight{done: make(chan struct{})}
 	s.flights[k] = f
 	s.mu.Unlock()
 
-	if e := s.load(k, f, c.loader, src, dst); e != nil {
-		return s.costOf(pl, e, src)
+	if e := s.load(k, f, loader, src, dst); e != nil {
+		return s.handle(e)
 	}
 
 	t0 := time.Now() //optimus:allow wallclock — telemetry: measures real planning cost, never enters simulated time
@@ -436,7 +439,7 @@ func (c *Cache) GetOrCost(pl *Planner, src, dst *model.Graph) Costed {
 	took := time.Since(t0) //optimus:allow wallclock — telemetry: pairs with the time.Now above
 
 	s.mu.Lock()
-	e = s.insert(k, lruEntry{cost: cst, costed: true, pairing: pr})
+	e = s.insert(k, lruEntry{cost: cst, pairing: pr})
 	f.entry = e
 	delete(s.flights, k)
 	s.costed++
@@ -446,20 +449,28 @@ func (c *Cache) GetOrCost(pl *Planner, src, dst *model.Graph) Costed {
 	return Costed{Cost: cst, s: s, e: e}
 }
 
+// handle returns the Costed of e, an entry of s.
+func (s *cacheShard) handle(e *lruEntry) Costed {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return Costed{Cost: e.cost, s: s, e: e}
+}
+
 // load resolves the in-flight miss f through the loader, if one is
-// installed and has the plan: it caches the pulled plan, lands the flight
+// installed and holds the pair: it caches the pulled pair, lands the flight
 // and returns the entry. It returns nil when the caller must compute the
 // pair itself.
-func (s *cacheShard) load(k cacheKey, f *flight, loader func(src, dst *model.Graph) (*metaop.Plan, bool), src, dst *model.Graph) *lruEntry {
+func (s *cacheShard) load(k cacheKey, f *flight, loader func(src, dst *model.Graph) (Costed, bool), src, dst *model.Graph) *lruEntry {
 	if loader == nil {
 		return nil
 	}
-	p, ok := loader(src, dst)
+	pulled, ok := loader(src, dst)
 	if !ok {
 		return nil
 	}
+	v := pulled.entry()
 	s.mu.Lock()
-	e := s.insert(k, lruEntry{plan: p})
+	e := s.insert(k, v)
 	f.entry = e
 	delete(s.flights, k)
 	s.remote++
@@ -494,24 +505,6 @@ func (s *cacheShard) steps(e *lruEntry) *metaop.Plan {
 	return p
 }
 
-// costOf returns e's Cost, deriving it from e's plan (whose true cost is
-// taken under pl's profile) if the pair was never costed.
-func (s *cacheShard) costOf(pl *Planner, e *lruEntry, src *model.Graph) Costed {
-	s.mu.Lock()
-	cst, ok, p := e.cost, e.costed, e.plan
-	s.mu.Unlock()
-	if !ok {
-		cst = Cost{Est: p.EstCost, Scratch: p.ScratchCost, LoadFromScratch: p.LoadFromScratch,
-			True: p.TrueCost(pl.est.Profile(), src)}
-		s.mu.Lock()
-		if e.plan == p {
-			e.cost, e.costed = cst, true
-		}
-		s.mu.Unlock()
-	}
-	return Costed{Cost: cst, s: s, e: e}
-}
-
 // FlightsQuiesce waits until a moment with no in-flight GetOrPlan or
 // GetOrCost computations: every singleflight started before the call has
 // landed its entry in the cache. The control plane's drain handoff calls it
@@ -537,23 +530,6 @@ func (c *Cache) FlightsQuiesce() {
 	}
 }
 
-// Len returns the number of cached plans: entries whose steps exist, as Get
-// sees them. Counters.Size also counts pairs that are only costed.
-func (c *Cache) Len() int {
-	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		for e := s.head; e != nil; e = e.next {
-			if e.plan != nil {
-				n++
-			}
-		}
-		s.mu.Unlock()
-	}
-	return n
-}
-
 // Stats returns cache hit and miss counts.
 func (c *Cache) Stats() (hits, misses int) {
 	ct := c.Counters()
@@ -563,21 +539,22 @@ func (c *Cache) Stats() (hits, misses int) {
 // Counters is a point-in-time snapshot of the cache's bookkeeping, summed
 // across shards.
 type Counters struct {
-	// Hits/Misses count lookups (Get and the read side of GetOrPlan and
-	// GetOrCost). A GetOrPlan or GetOrCost caller that finds another
+	// Hits/Misses count lookups: the read side of GetOrPlan and GetOrCost
+	// (Get is a probe and counts neither). A caller that finds another
 	// goroutine's computation of the pair in flight waits for it and counts
 	// as a hit, so Misses counts the pairs computed or loaded, and neither
 	// count depends on how concurrent callers interleave.
 	Hits, Misses int
 	// Planned counts step constructions: plans computed by GetOrPlan on a
-	// miss, and steps built for a costed pair (Costed.Plan, or GetOrPlan
-	// hitting a cost-only entry). Costed counts step-free cost passes run by
-	// GetOrCost on a miss. Deduped counts the hits that waited on another
-	// goroutine's in-flight computation (singleflight), so unlike the rest it
-	// depends on timing; Remote counts plans pulled through the loader (the
-	// cross-gateway owner-pull path) instead of computed locally. Every miss
-	// of GetOrPlan or GetOrCost is resolved by exactly one of a full plan, a
-	// cost pass or Remote.
+	// miss, and steps built for a cost-only pair (Costed.Plan, or GetOrPlan
+	// on it). Costed counts step-free cost passes run by GetOrCost on a miss.
+	// Deduped counts the hits that waited on another goroutine's in-flight
+	// computation (singleflight), so unlike the rest it depends on timing;
+	// Remote counts pairs pulled through the loader (the cross-gateway
+	// owner-pull path) instead of computed locally. Every miss of GetOrPlan
+	// or GetOrCost is resolved by exactly one of a full plan, a cost pass or
+	// Remote, so Planned+Costed counts the pairs this cache planned first
+	// (Misses−Remote) plus the steps it built later.
 	Planned, Costed, Deduped, Remote int
 	// Evictions counts entries dropped by the LRU bound; Size and Limit
 	// describe the current occupancy, cost-only entries included (Limit 0 =

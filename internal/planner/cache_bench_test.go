@@ -2,11 +2,11 @@ package planner
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
 
-	"repro/internal/metaop"
 	"repro/internal/model"
 )
 
@@ -94,48 +94,60 @@ func TestCacheShardedSemantics(t *testing.T) {
 }
 
 // TestCacheLoaderOneHop: a loader-satisfied miss is counted Remote, not
-// Planned; GetOrPlanLocal never consults the loader; and the loader fires at
-// most once per pair (singleflight covers the remote pull too).
+// Planned or Costed, and carries the owner's Cost and, where the owner built
+// them, its steps; GetOrCostLocal never consults the loader; and the loader
+// fires at most once per pair (singleflight covers the remote pull too).
 func TestCacheLoaderOneHop(t *testing.T) {
 	pl := New(exact(), AlgoGroup)
 	pairs := benchPairs(8)
 
+	// The owner holds every pair cost-only, as precompute leaves it, except
+	// the first, whose steps it has built.
 	owner := NewCache()
 	for _, pr := range pairs {
-		owner.GetOrPlan(pl, pr[0], pr[1])
+		owner.GetOrCostLocal(pl, pr[0], pr[1])
 	}
+	ownerPlan := owner.GetOrPlan(pl, pairs[0][0], pairs[0][1])
 
 	peer := NewCache()
 	var loaderCalls sync.Map
-	peer.SetLoader(func(src, dst *model.Graph) (*metaop.Plan, bool) {
+	peer.SetLoader(func(src, dst *model.Graph) (Costed, bool) {
 		n, _ := loaderCalls.LoadOrStore(src.Name, new(int))
 		*(n.(*int))++
 		return owner.Get(src, dst)
 	})
 
 	var wg sync.WaitGroup
-	got := make([]*metaop.Plan, 16)
+	got := make([]Costed, 16)
 	for i := range got {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			pr := pairs[i%len(pairs)]
-			got[i] = peer.GetOrPlan(pl, pr[0], pr[1])
+			got[i] = peer.GetOrCost(pl, pr[0], pr[1])
 		}(i)
 	}
 	wg.Wait()
 	peer.FlightsQuiesce()
 
-	for i, p := range got {
+	for i, k := range got {
 		pr := pairs[i%len(pairs)]
 		want, _ := owner.Get(pr[0], pr[1])
-		if p != want {
-			t.Fatalf("call %d did not receive the owner's plan", i)
+		if k.Cost != want.Cost {
+			t.Fatalf("call %d did not receive the owner's cost", i)
 		}
 	}
 	ct := peer.Counters()
-	if ct.Planned != 0 {
-		t.Fatalf("peer planned %d pairs locally despite a loader that always hits", ct.Planned)
+	if ct.Planned != 0 || ct.Costed != 0 {
+		t.Fatalf("peer computed pairs locally despite a loader that always hits: %+v", ct)
+	}
+	if got[0].Plan() != ownerPlan {
+		t.Fatal("a pulled pair did not share the steps its owner had built")
+	}
+	for i, pr := range pairs[1:] {
+		if p := got[i+1].Plan(); !reflect.DeepEqual(p, pl.Plan(pr[0], pr[1])) {
+			t.Fatalf("steps built from pulled pair %d differ from a serial plan", i+1)
+		}
 	}
 	if ct.Remote != len(pairs) {
 		t.Fatalf("peer pulled %d pairs, want %d", ct.Remote, len(pairs))
@@ -147,16 +159,16 @@ func TestCacheLoaderOneHop(t *testing.T) {
 		return true
 	})
 
-	// GetOrPlanLocal must bypass the loader: a fresh peer plans locally.
+	// GetOrCostLocal must bypass the loader: a fresh peer costs locally.
 	local := NewCache()
-	local.SetLoader(func(src, dst *model.Graph) (*metaop.Plan, bool) {
-		t.Error("GetOrPlanLocal consulted the loader")
-		return nil, false
+	local.SetLoader(func(src, dst *model.Graph) (Costed, bool) {
+		t.Error("GetOrCostLocal consulted the loader")
+		return Costed{}, false
 	})
-	if local.GetOrPlanLocal(pl, pairs[0][0], pairs[0][1]) == nil {
-		t.Fatal("GetOrPlanLocal returned nil")
+	if !local.GetOrCostLocal(pl, pairs[0][0], pairs[0][1]).Valid() {
+		t.Fatal("GetOrCostLocal returned no pair")
 	}
-	if ct := local.Counters(); ct.Planned != 1 || ct.Remote != 0 {
-		t.Fatalf("local plan counted planned=%d remote=%d, want 1/0", ct.Planned, ct.Remote)
+	if ct := local.Counters(); ct.Costed != 1 || ct.Remote != 0 {
+		t.Fatalf("local cost pass counted costed=%d remote=%d, want 1/0", ct.Costed, ct.Remote)
 	}
 }

@@ -23,10 +23,26 @@ func costModels() []*model.Graph {
 	return append(out, zoo.BERTZoo().MustGet("bert-tiny"))
 }
 
+// built counts the cache's entries whose steps exist.
+func built(c *Cache) int {
+	n := 0
+	for i := range c.shards {
+		s := &c.shards[i]
+		s.mu.Lock()
+		for e := s.head; e != nil; e = e.next {
+			if e.plan != nil {
+				n++
+			}
+		}
+		s.mu.Unlock()
+	}
+	return n
+}
+
 // TestCostOnlyEntries walks a bounded cache through the cost-only entry
 // lifecycle: costing a pair caches its Cost without steps (counted against
-// the bound, invisible to Get and Len), an evicted pair's handle still
-// builds its plan, and GetOrPlan on a costed pair builds the steps once.
+// the bound, seen by Get), an evicted pair's handle still builds its plan,
+// and GetOrPlan on a costed pair builds the steps once.
 func TestCostOnlyEntries(t *testing.T) {
 	m := costModels()
 	pl := New(exact(), AlgoGroup)
@@ -38,11 +54,11 @@ func TestCostOnlyEntries(t *testing.T) {
 		t.Fatalf("GetOrCost = %+v, Planner.Cost = %+v", ka.Cost, want)
 	}
 	ct := c.Counters()
-	if ct.Costed != 2 || ct.Planned != 0 || ct.Size != 2 || c.Len() != 0 {
-		t.Fatalf("after two cost passes: counters %+v, Len %d; want Costed 2, Planned 0, Size 2, Len 0", ct, c.Len())
+	if ct.Costed != 2 || ct.Planned != 0 || ct.Size != 2 || built(c) != 0 {
+		t.Fatalf("after two cost passes: counters %+v, %d built; want Costed 2, Planned 0, Size 2, none built", ct, built(c))
 	}
-	if _, ok := c.Get(m[0], m[1]); ok {
-		t.Fatal("Get returned a pair that has no steps")
+	if k, ok := c.Get(m[0], m[1]); !ok || k.Cost != ka.Cost || k.e.plan != nil {
+		t.Fatal("Get missed a cost-only pair, or saw steps")
 	}
 	if again := c.GetOrCost(pl, m[0], m[1]); again.Cost != ka.Cost || c.Counters().Costed != 2 {
 		t.Fatal("a costed pair was costed again")
@@ -66,12 +82,12 @@ func TestCostOnlyEntries(t *testing.T) {
 	if ka.Plan() != p {
 		t.Fatal("Costed.Plan and GetOrPlan returned different plan objects")
 	}
-	if got, ok := c.Get(m[0], m[1]); !ok || got != p {
+	if got, ok := c.Get(m[0], m[1]); !ok || got.e.plan != p {
 		t.Fatal("Get missed a pair whose steps exist")
 	}
 	ct = c.Counters()
-	if ct.Planned != 2 || ct.Costed != 3 || c.Len() != 1 {
-		t.Fatalf("counters %+v, Len %d; want Planned 2, Costed 3, Len 1", ct, c.Len())
+	if ct.Planned != 2 || ct.Costed != 3 || built(c) != 1 {
+		t.Fatalf("counters %+v, %d built; want Planned 2, Costed 3, 1 built", ct, built(c))
 	}
 	if pt := c.PlanTimes(); pt.Count != ct.Planned+ct.Costed {
 		t.Fatalf("PlanTimes counts %d operations, want Planned+Costed = %d", pt.Count, ct.Planned+ct.Costed)
@@ -79,8 +95,8 @@ func TestCostOnlyEntries(t *testing.T) {
 }
 
 // TestCostFromCachedPlan: a pair whose plan is already cached — planned,
-// Put, or pulled through the loader — takes its Cost from that plan and is
-// never planned or costed again.
+// Put from another cache, or pulled through the loader — holds the Cost that
+// plan reports, shares the plan, and is never planned or costed again.
 func TestCostFromCachedPlan(t *testing.T) {
 	m := costModels()
 	prof := cost.CPU()
@@ -90,15 +106,17 @@ func TestCostFromCachedPlan(t *testing.T) {
 		return Cost{Est: p.EstCost, Scratch: p.ScratchCost, LoadFromScratch: p.LoadFromScratch, True: p.TrueCost(prof, src)}
 	}
 
-	c := NewCache()
+	c, other := NewCache(), NewCache()
 	planned := c.GetOrPlan(pl, m[0], m[1])
-	c.Put(m[1], m[0], pl.Plan(m[1], m[0]))
-	pulled := pl.Plan(m[2], m[0])
-	c.SetLoader(func(src, dst *model.Graph) (*metaop.Plan, bool) {
+	put := other.GetOrPlan(pl, m[1], m[0])
+	k, _ := other.Get(m[1], m[0])
+	c.Put(m[1], m[0], k)
+	pulled := other.GetOrPlan(pl, m[2], m[0])
+	c.SetLoader(func(src, dst *model.Graph) (Costed, bool) {
 		if src == m[2] && dst == m[0] {
-			return pulled, true
+			return other.Get(src, dst)
 		}
-		return nil, false
+		return Costed{}, false
 	})
 	for _, pair := range [][2]*model.Graph{{m[0], m[1]}, {m[1], m[0]}, {m[2], m[0]}} {
 		k := c.GetOrCost(pl, pair[0], pair[1])
@@ -108,6 +126,9 @@ func TestCostFromCachedPlan(t *testing.T) {
 	}
 	if k := c.GetOrCost(pl, m[0], m[1]); k.Plan() != planned {
 		t.Error("a planned pair's handle returned another plan")
+	}
+	if k := c.GetOrCost(pl, m[1], m[0]); k.Plan() != put {
+		t.Error("a Put pair's handle returned another plan")
 	}
 	if k := c.GetOrCost(pl, m[2], m[0]); k.Plan() != pulled {
 		t.Error("a pulled pair's handle returned another plan")

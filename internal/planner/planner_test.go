@@ -357,12 +357,16 @@ func TestCache(t *testing.T) {
 	if p1 != p2 {
 		t.Fatal("cache did not return the stored plan")
 	}
-	if c.Len() != 1 {
-		t.Fatalf("cache Len = %d", c.Len())
+	if k, ok := c.Get(src, dst); !ok || k.Plan() != p1 {
+		t.Fatal("probe missed the stored plan")
 	}
+	if n := built(c); n != 1 || c.Counters().Size != 1 {
+		t.Fatalf("%d pairs have steps, size %d; want 1 each", n, c.Counters().Size)
+	}
+	// Get is a probe: only the two GetOrPlan calls count.
 	hits, misses := c.Stats()
-	if hits != 1 || misses != 2 {
-		t.Fatalf("hits/misses = %d/%d, want 1/2", hits, misses)
+	if hits != 1 || misses != 1 {
+		t.Fatalf("hits/misses = %d/%d, want 1/1", hits, misses)
 	}
 	// Same structure, different weights → different key.
 	dst2 := img.MustGet("resnet34-cifar10")

@@ -9,12 +9,14 @@ import (
 )
 
 // Precomputer is the parallel offline-planning pipeline behind §4.4's
-// planning-strategy cache: pairwise Plan(src, dst) work is fanned across a
-// bounded worker pool so a model registration returns immediately and the
-// plan warm-up saturates every core instead of running serially on the
-// registration path. Deduplication is inherited from Cache.GetOrPlan's
-// singleflight, so concurrent registrations (or an online request racing the
-// pipeline) never plan the same pair twice.
+// planning-strategy cache: pairwise cost passes are fanned across a bounded
+// worker pool so a model registration returns immediately and the warm-up
+// saturates every core instead of running serially on the registration
+// path. Each pair is cached with its Cost and pairing, not its steps:
+// serving reads only the cost, and the steps are built on first demand.
+// Deduplication is inherited from the cache's singleflight, so concurrent
+// registrations (or an online request racing the pipeline) never plan the
+// same pair twice.
 //
 // Workers are started lazily and exit when the queue drains, so an idle
 // Precomputer holds no goroutines and needs no Close.
@@ -55,9 +57,9 @@ func (p *Precomputer) Planner() *Planner { return p.pl }
 // Cache returns the plan cache the pipeline fills.
 func (p *Precomputer) Cache() *Cache { return p.cache }
 
-// Enqueue schedules the src→dst plan for background computation and returns
-// immediately. Pairs already cached (or currently being planned by anyone)
-// cost one cheap cache probe in the worker.
+// Enqueue schedules the src→dst cost pass for background computation and
+// returns immediately. Pairs already cached (or currently being planned by
+// anyone) cost one cheap cache probe in the worker.
 func (p *Precomputer) Enqueue(src, dst *model.Graph) {
 	p.mu.Lock()
 	p.queue = append(p.queue, pair{src, dst})
@@ -85,7 +87,7 @@ func (p *Precomputer) EnqueueAll(m *model.Graph, others []*model.Graph) {
 	}
 }
 
-// PrecomputeAll plans every ordered pair of models and waits for completion
+// PrecomputeAll costs every ordered pair of models and waits for completion
 // — the bulk warm-up a repository reopen performs.
 func (p *Precomputer) PrecomputeAll(models []*model.Graph) {
 	for i, a := range models {
@@ -98,8 +100,8 @@ func (p *Precomputer) PrecomputeAll(models []*model.Graph) {
 	p.Quiesce()
 }
 
-// drain runs on a worker goroutine: it plans queued pairs until the queue is
-// empty, then exits (a later Enqueue starts a fresh worker).
+// drain runs on a worker goroutine: it costs queued pairs until the queue
+// is empty, then exits (a later Enqueue starts a fresh worker).
 func (p *Precomputer) drain() {
 	for {
 		p.mu.Lock()
@@ -112,12 +114,13 @@ func (p *Precomputer) drain() {
 		p.queue = p.queue[1:]
 		p.mu.Unlock()
 
-		// GetOrPlanLocal, not GetOrPlan: precompute never consults the
-		// cross-gateway loader. Registration-time pair filters decide which
-		// pairs a gateway precomputes, so a worker that reaches here plans
-		// locally by design — pulling here could chain flight-waits between
-		// gateways whose precomputers pull from each other.
-		p.cache.GetOrPlanLocal(p.pl, t.src, t.dst)
+		// The cost pass only: serving reads a pair's Cost, and its steps
+		// are built on first demand. Loader-free: registration-time pair
+		// filters decide which pairs a gateway precomputes, so a worker that
+		// reaches here costs locally by design — pulling here could chain
+		// flight-waits between gateways whose precomputers pull from each
+		// other.
+		p.cache.GetOrCostLocal(p.pl, t.src, t.dst)
 
 		p.mu.Lock()
 		p.outstanding--
@@ -129,7 +132,7 @@ func (p *Precomputer) drain() {
 	}
 }
 
-// Quiesce blocks until every pair enqueued so far has been planned. Pairs
+// Quiesce blocks until every pair enqueued so far has been costed. Pairs
 // enqueued concurrently with Quiesce extend the wait.
 func (p *Precomputer) Quiesce() {
 	p.mu.Lock()
@@ -156,8 +159,8 @@ type PrecomputeStats struct {
 	Enqueued, Completed, Pending int
 	PeakQueue                    int
 	// PlanTimeTotal/PlanTimeMax aggregate per-pair planning time across the
-	// shared cache (including inline GetOrPlan fallbacks); Planned counts
-	// the plans actually computed.
+	// shared cache (including inline fallbacks and step builds); Planned
+	// counts the timed operations (the cache's Planned+Costed).
 	PlanTimeTotal, PlanTimeMax time.Duration
 	Planned                    int
 }

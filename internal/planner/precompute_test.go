@@ -3,9 +3,12 @@ package planner
 import (
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/cost"
 	"repro/internal/model"
 	"repro/internal/zoo"
 )
@@ -33,9 +36,10 @@ func tinyZoo() []*model.Graph {
 }
 
 // TestParallelPrecomputeMatchesSerial is the determinism property test: the
-// parallel pipeline must produce byte-identical plans (JSON covers step
-// order, costs and the safeguard decision) to direct serial planning, for
-// every ordered pair and every planning algorithm.
+// parallel pipeline must hold every ordered pair, cost-only, with the Cost a
+// serial plan reports, and the steps later built from each entry must be
+// byte-identical (JSON covers step order, costs and the safeguard decision)
+// to direct serial planning, for every planning algorithm.
 func TestParallelPrecomputeMatchesSerial(t *testing.T) {
 	cases := []struct {
 		algo   Algorithm
@@ -56,11 +60,17 @@ func TestParallelPrecomputeMatchesSerial(t *testing.T) {
 					if i == j {
 						continue
 					}
-					got, ok := parallel.Get(src, dst)
+					k, ok := parallel.Get(src, dst)
 					if !ok {
 						t.Fatalf("%s→%s missing from parallel cache", src.Name, dst.Name)
 					}
-					want := pl.Plan(src, dst)
+					if k.e.plan != nil {
+						t.Fatalf("%s→%s: precompute built steps", src.Name, dst.Name)
+					}
+					if k.Cost != pl.Cost(src, dst) {
+						t.Errorf("%s→%s: precomputed cost %+v, serial cost %+v", src.Name, dst.Name, k.Cost, pl.Cost(src, dst))
+					}
+					want, got := pl.Plan(src, dst), k.Plan()
 					jw, errW := json.Marshal(want)
 					jg, errG := json.Marshal(got)
 					if errW != nil || errG != nil {
@@ -115,8 +125,8 @@ func TestGetOrPlanSingleflight(t *testing.T) {
 		t.Errorf("planned %d + hits %d != %d callers, or deduped %d exceeds the hits",
 			ct.Planned, ct.Hits, callers, ct.Deduped)
 	}
-	if c.Len() != 1 {
-		t.Errorf("cache Len = %d, want 1", c.Len())
+	if n := built(c); n != 1 {
+		t.Errorf("%d pairs have steps, want 1", n)
 	}
 }
 
@@ -135,13 +145,13 @@ func TestCacheLRUEviction(t *testing.T) {
 	p0 := c.GetOrPlan(pl, base, dsts[0])
 	_ = c.GetOrPlan(pl, base, dsts[1])
 	// Freshen (base, d0) so (base, d1) becomes the LRU entry.
-	if p, ok := c.Get(base, dsts[0]); !ok || p != p0 {
+	if p := c.GetOrPlan(pl, base, dsts[0]); p != p0 || c.Counters().Hits != 1 {
 		t.Fatal("freshening lookup missed")
 	}
 	_ = c.GetOrPlan(pl, base, dsts[2]) // exceeds the bound → evicts (base, d1)
 
-	if c.Len() != 2 {
-		t.Fatalf("cache Len = %d, want 2 (bounded)", c.Len())
+	if n := built(c); n != 2 {
+		t.Fatalf("%d pairs have steps, want 2 (bounded)", n)
 	}
 	ct := c.Counters()
 	if ct.Evictions != 1 || ct.Size != 2 || ct.Limit != 2 {
@@ -159,8 +169,9 @@ func TestCacheLRUEviction(t *testing.T) {
 }
 
 // TestPrecomputerCounters: EnqueueAll skips the self pair, Quiesce drains the
-// backlog, the pipeline plans each unique pair exactly once (no duplicate
-// work), and re-enqueueing already-planned pairs does not replan them.
+// backlog, the pipeline costs each unique pair exactly once (no duplicate
+// work) and builds no steps, and re-enqueueing already-costed pairs does not
+// cost them again.
 func TestPrecomputerCounters(t *testing.T) {
 	models := propZoo(5, 8)
 	pl := New(exact(), AlgoGroup)
@@ -179,15 +190,75 @@ func TestPrecomputerCounters(t *testing.T) {
 		t.Errorf("enqueued/completed/pending = %d/%d/%d, want %d/%d/0",
 			st.Enqueued, st.Completed, st.Pending, want, want)
 	}
-	if got := c.Counters().Planned; got != want || got != c.Len() {
-		t.Errorf("planned %d plans into a cache of %d, want %d each (no duplicates)",
-			got, c.Len(), want)
+	ct := c.Counters()
+	if got := ct.Planned + ct.Costed; got != want || got != ct.Misses-ct.Remote || got != ct.Size {
+		t.Errorf("planned+costed %d (misses−remote %d) into a cache of %d, want %d each (no duplicates)",
+			got, ct.Misses-ct.Remote, ct.Size, want)
+	}
+	if ct.Planned != 0 || built(c) != 0 {
+		t.Errorf("precompute built steps: counters %+v", ct)
+	}
+	if st := p.Stats(); st.Planned != want {
+		t.Errorf("pipeline stats count %d planning operations, want %d", st.Planned, want)
 	}
 
 	// Re-enqueueing the same pairs is a cheap cache probe, not a replan.
 	p.EnqueueAll(models[0], models)
 	p.Quiesce()
-	if got := c.Counters().Planned; got != want {
-		t.Errorf("re-enqueue replanned: planned = %d, want still %d", got, want)
+	if ct := c.Counters(); ct.Planned+ct.Costed != want {
+		t.Errorf("re-enqueue replanned: planned+costed = %d, want still %d", ct.Planned+ct.Costed, want)
 	}
 }
+
+// warmupModels is the warm-up catalog the precompute timings use: eight
+// ImageNet CNNs and two BERT variants, 90 ordered pairs.
+func warmupModels() []*model.Graph {
+	img, bert := zoo.Imgclsmob(), zoo.BERTZoo()
+	var out []*model.Graph
+	for _, n := range []string{
+		"resnet18-imagenet", "resnet34-imagenet", "resnet50-imagenet", "resnet101-imagenet",
+		"vgg11-imagenet", "vgg16-imagenet", "vgg19-imagenet", "densenet121-imagenet",
+	} {
+		out = append(out, img.MustGet(n))
+	}
+	return append(out, bert.MustGet("bert-tiny"), bert.MustGet("bert-mini"))
+}
+
+// TestParallelPrecomputeNotSlower: warming the catalog on the full worker
+// pool costs every pair once and, where there is parallel hardware (≥4
+// cores), is not slower than one worker. On fewer cores the pool
+// degenerates to serial plus overhead, so only the counts are checked.
+func TestParallelPrecomputeNotSlower(t *testing.T) {
+	models := warmupModels()
+	pairs := len(models) * (len(models) - 1)
+	pl := New(cost.Exact(cost.CPU()), AlgoGroup)
+	warm := func(workers int) (time.Duration, Counters) {
+		c := NewCache()
+		t0 := time.Now()
+		NewPrecomputer(pl, c, workers).PrecomputeAll(models)
+		return time.Since(t0), c.Counters()
+	}
+	serial, _ := warm(1)
+	parallel, ct := warm(runtime.GOMAXPROCS(0))
+	if ct.Costed != pairs || ct.Planned != 0 {
+		t.Errorf("parallel warm-up counters %+v, want %d pairs costed and no steps built", ct, pairs)
+	}
+	if runtime.NumCPU() >= 4 && parallel > serial {
+		t.Errorf("parallel precompute slower than serial on %d cores: %v vs %v (speedup %.2f)",
+			runtime.NumCPU(), parallel, serial, float64(serial)/float64(parallel))
+	}
+}
+
+func benchPrecompute(b *testing.B, workers int) {
+	models := warmupModels()
+	pl := New(cost.Exact(cost.CPU()), AlgoGroup)
+	pairs := len(models) * (len(models) - 1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		NewPrecomputer(pl, NewCache(), workers).PrecomputeAll(models)
+	}
+	b.ReportMetric(float64(pairs), "pairs/op")
+}
+
+func BenchmarkPrecomputeSerial(b *testing.B)   { benchPrecompute(b, 1) }
+func BenchmarkPrecomputeParallel(b *testing.B) { benchPrecompute(b, 0) }

@@ -3,6 +3,7 @@ package repository
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/cost"
@@ -102,8 +103,12 @@ func TestPutPrecomputesPlans(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Quiesce() // planning is asynchronous; wait for the worker pool
-	if _, ok := s.Plans().Get(a, b); !ok {
-		t.Error("a→b plan missing after Put")
+	k, ok := s.Plans().Get(a, b)
+	if !ok {
+		t.Fatal("a→b plan missing after Put")
+	}
+	if !reflect.DeepEqual(k.Plan(), testPlanner().Plan(a, b)) {
+		t.Error("steps built from the precomputed a→b entry differ from a serial plan")
 	}
 }
 

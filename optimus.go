@@ -141,16 +141,18 @@ func NewTransformer(hw Hardware, algo Algorithm) *Transformer {
 }
 
 // Plan returns the (cached) transformation plan from src to dst, including
-// the safeguard decision.
+// the safeguard decision. A pair warmed by Precompute has its steps built
+// here, on the first call.
 func (t *Transformer) Plan(src, dst *Model) *Plan {
 	return t.cache.GetOrPlan(t.pl, src, dst)
 }
 
 // Precompute warms the transformer's plan cache with every ordered pair of
-// the given models, fanning the pairwise planning across a bounded worker
-// pool (workers <= 0 defaults to GOMAXPROCS) — the offline planning phase of
-// §4.4 Module 3 as a bulk operation. It returns once every pair is planned;
-// plans are identical to those Plan would compute serially.
+// the given models, fanning the pairwise cost passes across a bounded
+// worker pool (workers <= 0 defaults to GOMAXPROCS) — the offline planning
+// phase of §4.4 Module 3 as a bulk operation. It returns once every pair's
+// cost and pairing are cached; Plan builds a pair's steps on its first
+// call, identical to those a serial plan has.
 func (t *Transformer) Precompute(models []*Model, workers int) {
 	planner.NewPrecomputer(t.pl, t.cache, workers).PrecomputeAll(models)
 }
