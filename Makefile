@@ -43,8 +43,8 @@ race:
 	$(GO) test -race ./...
 
 # bench-scale runs the simulator hot-path scaling benchmark (1M-request
-# trace, serial/scan vs indexed, plus the constant-memory streaming section
-# at 10M requests and windowed vs serial streaming replay) and leaves
+# trace, serial/scan vs indexed, plus the constant-memory streaming section:
+# group-parallel streaming replay at 10M requests) and leaves
 # BENCH_sim_scale.json in the repo root.
 bench-scale:
 	$(GO) run ./cmd/optimus-bench -stream scale
@@ -95,8 +95,10 @@ scaleguard:
 
 # streamguard validates the streaming section of BENCH_sim_scale.json
 # (10M+-request point, allocs/req at or below the indexed path, peak heap
-# within 1.5x of the 10x-smaller baseline, streaming==materialized and
-# windowed==serial equalities) and replays a streaming smoke end to end.
+# within 1.5x of the 10x-smaller baseline, streaming==materialized) and
+# replays a streaming smoke end to end. The group-parallel stream == serial
+# oracle lives in internal/simulate (TestRunGroupsMatchSerial and the race
+# step in CI).
 streamguard:
 	$(GO) test -run 'TestStream' ./internal/experiments
 

@@ -37,7 +37,6 @@ func main() {
 		scaleN  = flag.Int("scale-requests", 0, "trace size for the scale experiment (0 = 1M, or 50k with -quick)")
 		stream  = flag.Bool("stream", false, "add the constant-memory streaming section to the scale experiment")
 		streamN = flag.Int("stream-requests", 0, "streaming replay size for scale -stream (0 = 10M, or 500k with -quick)")
-		windows = flag.Int("replay-windows", 0, "time windows for the windowed streaming replay (0 = 32)")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
@@ -67,7 +66,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: optimus-bench [flags] <experiment>... | all")
 		fmt.Fprintln(os.Stderr, "experiments: fig2 fig3 fig4 fig5a fig5c fig8 fig11 fig12 fig13 fig14 fig15 fig16 table1")
 		fmt.Fprintln(os.Stderr, "ablations:   ablation-planner ablation-safeguard ablation-cache ablation-balancer ablation-idle ablation-online ablation-alloc sweep-nodes sweep-load chaos recovery")
-		fmt.Fprintln(os.Stderr, "baselines:   scale (replays one trace scan/indexed, -stream adds streaming + windowed; emits BENCH_sim_scale.json into -out)")
+		fmt.Fprintln(os.Stderr, "baselines:   scale (replays one trace scan/indexed, -stream adds streaming; emits BENCH_sim_scale.json into -out)")
 		fmt.Fprintln(os.Stderr, "             soak (chaos soak, baseline vs resilient; emits BENCH_soak.json into -out)")
 		fmt.Fprintln(os.Stderr, "             fanout (burst fan-out trees vs independent transforms; emits BENCH_fanout.json into -out)")
 		fmt.Fprintln(os.Stderr, "             gateway (multi-gateway scaling + shared-vs-isolated plan cache; emits BENCH_gateway.json into -out)")
@@ -204,7 +203,7 @@ func main() {
 		case "scale":
 			r := experiments.Scale(o, *scaleN, 0)
 			if *stream {
-				s := experiments.StreamScale(o, *streamN, 0, *windows)
+				s := experiments.StreamScale(o, *streamN, 0)
 				r.Stream = &s
 			}
 			if err := r.WriteFile(*outDir); err != nil {

@@ -56,11 +56,11 @@ func main() {
 		saveTrace  = flag.String("save-trace", "", "write the generated workload to this CSV file")
 		loadTrace  = flag.String("load-trace", "", "replay a workload from this CSV file instead of generating one")
 		azureTrace = flag.String("azure-trace", "", "replay a real Azure Functions invocations CSV (per-minute counts; deploys one function per trace row)")
+		stream     = flag.Bool("stream", false, "constant-memory streaming replay: fold records into a mergeable summary instead of retaining them")
 	)
 	ff := cliutil.RegisterFaultFlags(flag.CommandLine, false)
 	rf := cliutil.RegisterResilienceFlags(flag.CommandLine)
 	fo := cliutil.RegisterFanoutFlags(flag.CommandLine)
-	rp := cliutil.RegisterReplayFlags(flag.CommandLine)
 	flag.Parse()
 
 	if err := ff.Validate(); err != nil {
@@ -72,10 +72,6 @@ func main() {
 		os.Exit(2)
 	}
 	if err := fo.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	if err := rp.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
@@ -225,21 +221,13 @@ func main() {
 		os.Exit(1)
 	}
 	start := time.Now()
-	if rp.Streaming() {
+	if *stream {
 		// Streaming replay keeps no per-request records: the summary is
 		// mergeable aggregates plus sketched percentiles.
-		var srep *optimus.StreamReport
-		if w := *rp.Windows; w > 0 {
-			srep, err = sys.RunWindowed(trace, w)
-		} else {
-			srep, err = sys.RunStream(trace)
-		}
+		srep, err := sys.RunStream(trace)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "simulation failed:", err)
 			os.Exit(1)
-		}
-		if ws := srep.WindowSummary(); ws != "" {
-			fmt.Println(ws)
 		}
 		fmt.Println(srep.Summary())
 		if fs := srep.FaultSummary(); fs != "" {

@@ -25,7 +25,7 @@ var fmtEmitters = map[string]bool{
 
 // recordSinks are method names that append records or samples to a
 // collector; feeding them in map order makes replay output nondeterministic
-// (the hazard class that would silently break windowed ≡ serial).
+// (the hazard class that would silently break group-parallel ≡ serial).
 var recordSinks = map[string]bool{
 	"Add": true, "Record": true, "Observe": true, "Emit": true, "Write": true,
 }

@@ -242,51 +242,6 @@ func Placement(pl *planner.Planner, fns []FunctionInfo, nodes int, cfg Config) m
 	return out
 }
 
-// apportion distributes `nodes` node slots over clusters proportionally to
-// load, guaranteeing every cluster at least one node (largest-remainder
-// method).
-func apportion(load []float64, total float64, nodes int) []int {
-	k := len(load)
-	out := make([]int, k)
-	if k == 0 {
-		return out
-	}
-	if total <= 0 {
-		total = 1
-	}
-	// Base allocation: one node each, remainder by load share.
-	for i := range out {
-		out[i] = 1
-	}
-	extra := nodes - k
-	if extra <= 0 {
-		return out
-	}
-	type rem struct {
-		idx  int
-		frac float64
-	}
-	shares := make([]rem, k)
-	given := 0
-	for i, l := range load {
-		exact := l / total * float64(extra)
-		whole := int(exact)
-		out[i] += whole
-		given += whole
-		shares[i] = rem{i, exact - float64(whole)}
-	}
-	sort.Slice(shares, func(a, b int) bool {
-		if shares[a].frac != shares[b].frac {
-			return shares[a].frac > shares[b].frac
-		}
-		return shares[a].idx < shares[b].idx
-	})
-	for x := 0; x < extra-given; x++ {
-		out[shares[x%k].idx]++
-	}
-	return out
-}
-
 // SlotDuration is the default demand-series granularity used when deriving
 // FunctionInfo demand from traces.
 const SlotDuration = 5 * time.Minute

@@ -128,28 +128,6 @@ func TestPlacement(t *testing.T) {
 	}
 }
 
-func TestApportion(t *testing.T) {
-	got := apportion([]float64{10, 10}, 20, 4)
-	if got[0] != 2 || got[1] != 2 {
-		t.Errorf("even apportion = %v", got)
-	}
-	got = apportion([]float64{30, 10}, 40, 4)
-	if got[0] < got[1] {
-		t.Errorf("skewed apportion = %v", got)
-	}
-	if got[0]+got[1] != 4 {
-		t.Errorf("apportion total = %v", got)
-	}
-	// Every cluster keeps at least one node even with zero load.
-	got = apportion([]float64{0, 100}, 100, 3)
-	if got[0] < 1 {
-		t.Errorf("zero-load cluster starved: %v", got)
-	}
-	if len(apportion(nil, 0, 3)) != 0 {
-		t.Error("empty apportion should be empty")
-	}
-}
-
 func TestPlacementFewerFunctionsThanNodes(t *testing.T) {
 	img := zoo.Imgclsmob()
 	fns := []FunctionInfo{

@@ -79,9 +79,6 @@ func NewProxy(self string, peers []Peer, seed int64, vnodes int, next http.Handl
 	return p, nil
 }
 
-// SetClient replaces the forwarding HTTP client (tests, custom timeouts).
-func (p *Proxy) SetClient(c *http.Client) { p.client = c }
-
 // ServeHTTP routes: non-owned invokes forward to the ring owner, model
 // registrations mirror to every peer, ring state answers on /api/ring, and
 // everything else serves locally.

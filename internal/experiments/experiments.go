@@ -80,9 +80,3 @@ var (
 	imgZoo  = zoo.Imgclsmob()
 	bertZoo = zoo.BERTZoo()
 )
-
-// ImgclsmobZoo returns the process-wide Imgclsmob registry.
-func ImgclsmobZoo() *zoo.Registry { return imgZoo }
-
-// BERTRegistry returns the process-wide BERT registry.
-func BERTRegistry() *zoo.Registry { return bertZoo }

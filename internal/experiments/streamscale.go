@@ -17,16 +17,16 @@ import (
 // generators (no trace slice, no record retention), at a request count an
 // order of magnitude past what the materialized paths replay.
 //
-// Three properties are checked alongside the timings:
+// Two properties are checked alongside the timings:
 //
 //   - fidelity: a streaming replay's summary is byte-identical to the
 //     summary derived from a materialized replay's records at the baseline
 //     size (same seed, same rates);
 //   - constant memory: peak heap at the full streaming size stays within
-//     1.5× of peak heap at the ~10×-smaller baseline size;
-//   - windowed parallelism: on a placement whose bridge functions connect
-//     every node group into one component, time-windowed optimistic replay
-//     equals the serial streaming engine exactly.
+//     1.5× of peak heap at the ~10×-smaller baseline size.
+//
+// The cluster's placement splits into node groups, so both streaming
+// replays run on the group workers.
 type StreamScaleBench struct {
 	// Requests is the full streaming replay size; BaseRequests the smaller
 	// baseline the fidelity and peak-memory comparisons run at.
@@ -46,18 +46,6 @@ type StreamScaleBench struct {
 	// MatchesMaterialized: streaming summary == summary of the materialized
 	// replay's records, at BaseRequests with the same seed.
 	MatchesMaterialized bool `json:"stream_matches_materialized"`
-
-	// Windowed replay on the bridge-connected placement (GOMAXPROCS
-	// workers), timed against the serial streaming engine on the same input
-	// (WindowedSerialMS).
-	WindowedRequests      int     `json:"windowed_requests"`
-	WindowedMS            float64 `json:"windowed_ms"`
-	WindowedSerialMS      float64 `json:"windowed_serial_ms"`
-	WindowedMatchesSerial bool    `json:"windowed_matches_serial"`
-	Windows               int     `json:"windows"`
-	ParallelWindows       int     `json:"parallel_windows"`
-	ConflictWindows       int     `json:"conflict_windows"`
-	MaxGroups             int     `json:"max_groups"`
 }
 
 // streamSpec stretches the baseline cluster's horizon so the streaming
@@ -71,36 +59,6 @@ func streamSpec(o Options, requests, base, groups int) scaleSpec {
 	spec := scaleClusterSpec(o, base, groups)
 	spec.horizon = time.Duration(float64(spec.horizon) * float64(requests) / float64(base) * 1.005)
 	return spec
-}
-
-// bridgeSpec adds one low-rate bridge function between each pair of adjacent
-// node groups, connecting the whole placement into a single component:
-// windowed replay still parallelizes every window the bridges sit out.
-func bridgeSpec(spec scaleSpec, groups int) scaleSpec {
-	const nodesPerGroup = 8
-	bridged := scaleSpec{
-		cfg:     spec.cfg,
-		fns:     append([]*simulate.Function(nil), spec.fns...),
-		rates:   make(map[string]float64, len(spec.rates)+groups),
-		horizon: spec.horizon,
-	}
-	placement := make(map[string][]int, len(spec.cfg.Placement)+groups)
-	for name, nodes := range spec.cfg.Placement {
-		placement[name] = nodes
-	}
-	for name, r := range spec.rates {
-		bridged.rates[name] = r
-	}
-	for g := 0; g < groups-1; g++ {
-		name := fmt.Sprintf("bridge-%02d", g)
-		bridged.fns = append(bridged.fns, &simulate.Function{Name: name, Model: spec.fns[g%len(spec.fns)].Model})
-		placement[name] = []int{g*nodesPerGroup + nodesPerGroup - 1, (g + 1) * nodesPerGroup}
-		// ~2 expected arrivals per bridge over the horizon: rare enough that
-		// most windows parallelize, frequent enough that some conflict.
-		bridged.rates[name] = 2 / spec.horizon.Seconds()
-	}
-	bridged.cfg.Placement = placement
-	return bridged
 }
 
 // peakHeapDuring runs fn while sampling HeapAlloc on a ~10 ms cadence,
@@ -164,11 +122,10 @@ func streamRun(spec scaleSpec, seed int64) (*metrics.Summary, float64, float64, 
 
 // StreamScale runs the streaming section of the scale benchmark. requests
 // <= 0 defaults to ten million (500k in quick mode); the fidelity and
-// peak-memory baseline runs at a tenth of that; groups and windows <= 0
-// default to 8 and 32. Windowed replay runs on GOMAXPROCS workers. Unlike
-// Scale it leaves the GC at its default: the point is the engine's true
-// memory profile, not benchmark throughput.
-func StreamScale(o Options, requests, groups, windows int) StreamScaleBench {
+// peak-memory baseline runs at a tenth of that; groups <= 0 defaults to 8.
+// Unlike Scale it leaves the GC at its default: the point is the engine's
+// true memory profile, not benchmark throughput.
+func StreamScale(o Options, requests, groups int) StreamScaleBench {
 	o = o.withDefaults()
 	if requests <= 0 {
 		requests = 10_000_000
@@ -178,9 +135,6 @@ func StreamScale(o Options, requests, groups, windows int) StreamScaleBench {
 	}
 	if groups <= 0 {
 		groups = 8
-	}
-	if windows <= 0 {
-		windows = 32
 	}
 	base := requests / 10
 	res := StreamScaleBench{Requests: requests, BaseRequests: base}
@@ -211,40 +165,13 @@ func StreamScale(o Options, requests, groups, windows int) StreamScaleBench {
 		res.PeakRatio = res.PeakHeapMB / res.PeakHeapBaseMB
 	}
 
-	// Windowed optimistic parallelism on the bridge-connected placement.
-	wSpec := bridgeSpec(scaleClusterSpec(o, base, groups), groups)
-	t0 := time.Now()
-	serial, err := simulate.New(wSpec.cfg, wSpec.fns).RunStream(
-		workload.StreamPoissonRates(wSpec.rates, wSpec.horizon, o.Seed))
-	if err != nil {
-		panic(err)
-	}
-	res.WindowedSerialMS = msF(time.Since(t0))
-	t0 = time.Now()
-	win, rep, err := simulate.RunWindowed(wSpec.cfg, wSpec.fns,
-		workload.StreamPoissonRates(wSpec.rates, wSpec.horizon, o.Seed),
-		wSpec.horizon, windows, 0)
-	if err != nil {
-		panic(err)
-	}
-	res.WindowedMS = msF(time.Since(t0))
-	res.WindowedRequests = win.Count()
-	res.WindowedMatchesSerial = rep.Windowed() && *win == *serial
-	res.Windows = rep.Windows
-	res.ParallelWindows = rep.ParallelWindows
-	res.ConflictWindows = rep.ConflictWindows
-	res.MaxGroups = rep.MaxGroups
 	return res
 }
 
 // Render prints the streaming section digest.
 func (r StreamScaleBench) Render() string {
 	return fmt.Sprintf(`  stream       %8.1f ms   %6.2f allocs/req   (%d requests, summary vs materialized %s)
-  peak heap    %8.1f MB vs %.1f MB at %d requests (ratio %.2fx)
-  windowed     %8.1f ms vs %.1f ms serial   (%d requests, %d/%d windows parallel, %d conflict-serial, max %d partitions, vs serial %s)`,
+  peak heap    %8.1f MB vs %.1f MB at %d requests (ratio %.2fx)`,
 		r.WallMS, r.AllocsPerReq, r.Requests, okStr(r.MatchesMaterialized),
-		r.PeakHeapMB, r.PeakHeapBaseMB, r.BaseRequests, r.PeakRatio,
-		r.WindowedMS, r.WindowedSerialMS, r.WindowedRequests,
-		r.ParallelWindows, r.Windows, r.ConflictWindows, r.MaxGroups,
-		okStr(r.WindowedMatchesSerial))
+		r.PeakHeapMB, r.PeakHeapBaseMB, r.BaseRequests, r.PeakRatio)
 }

@@ -9,8 +9,8 @@ import "time"
 // carry the digest's bounded relative error (≤ 2^-digestSubBits).
 //
 // Summary holds no pointers, so two summaries compare with == — the
-// equality the streaming-vs-materialized and windowed-vs-serial oracles
-// rely on — and partial summaries combine in O(buckets) via Merge.
+// equality the streaming-vs-materialized and group-vs-serial oracles rely
+// on — and partial summaries combine in O(buckets) via Merge.
 type Summary struct {
 	// Latency sketches the end-to-end latency distribution (exact count,
 	// total and max; bounded-error intermediate quantiles).
@@ -155,5 +155,6 @@ func (f *FaultStats) Merge(o FaultStats) {
 // empty collector while streaming; the summary is the source of truth.
 func (c *Collector) StreamInto(sum *Summary) { c.stream = sum }
 
-// Streaming reports whether Adds are being diverted into a summary.
-func (c *Collector) Streaming() bool { return c.stream != nil }
+// Stream returns the summary Adds are diverted into, or nil when the
+// collector retains records.
+func (c *Collector) Stream() *Summary { return c.stream }

@@ -193,8 +193,8 @@ func TestCollectorStreamInto(t *testing.T) {
 	if str.Len() != 0 || len(str.Records()) != 0 {
 		t.Fatalf("streaming collector retained %d records", str.Len())
 	}
-	if !str.Streaming() {
-		t.Fatal("Streaming() = false after StreamInto")
+	if str.Stream() != &sum {
+		t.Fatal("Stream() is not the summary given to StreamInto")
 	}
 	if want := *SummaryOf(&mat); sum != want {
 		t.Fatal("streamed summary != SummaryOf(materialized collector)")

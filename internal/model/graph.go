@@ -100,15 +100,6 @@ func (g *Graph) Op(id int) *Operation {
 // graph's backing store; callers must not mutate it.
 func (g *Graph) Ops() []*Operation { return g.ops }
 
-// Successors returns the IDs of the direct successors of op id. The returned
-// slice is backing store; callers must not mutate it.
-func (g *Graph) Successors(id int) []int {
-	if id < 0 || id >= len(g.succ) {
-		return nil
-	}
-	return g.succ[id]
-}
-
 // Edge is a dataflow edge between two operations.
 type Edge struct{ From, To int }
 

@@ -128,11 +128,6 @@ type Config struct {
 	// every dispatch and panics on the first divergence. Debug/test only:
 	// it pays both routers' cost.
 	CrossCheckRouting bool
-	// CrossCheckWindows makes RunWindowed keep a second, fully serial
-	// simulator in lockstep and compare every window's record multiset,
-	// panicking on the first divergence. Debug/test only: it pays the serial
-	// run's full cost and retains records, forfeiting constant memory.
-	CrossCheckWindows bool
 }
 
 // memoryMode derives the allocation mode from the config.
@@ -470,22 +465,37 @@ func (s *Simulator) Run(trace *workload.Trace) (*metrics.Collector, error) {
 	if err != nil {
 		return nil, err
 	}
-	if groups, nodeGroup := s.replayGroups(); groups > 1 && len(arrivals) > 0 {
-		s.mergeRecords(s.runGroups(arrivals, 0, true, groups, nodeGroup, runtime.GOMAXPROCS(0)))
+	groups, nodeGroup := s.replayGroups(false)
+	s.replay(arrivals, 0, true, groups, nodeGroup)
+	s.foldFanoutLog()
+	return &s.collector, nil
+}
+
+// replay replays time-sorted arrivals merged with pending events like
+// runWindow, on the group workers when the nodes split into two or more
+// groups (runGroups), and otherwise on s.
+func (s *Simulator) replay(arr []arrival, limit time.Duration, final bool, groups int, nodeGroup []int) {
+	if groups < 2 || len(arr) == 0 {
+		s.runWindow(arr, limit, final)
+		return
+	}
+	s.mergeRecords(s.runGroups(arr, limit, final, groups, nodeGroup, runtime.GOMAXPROCS(0)))
+	if final {
 		// Events on nodes no group owns touch nothing else: they drain
 		// afterwards without moving the clock back.
 		clock := s.clock
 		s.runWindow(nil, 0, true)
 		s.clock = max(s.clock, clock)
-	} else {
-		s.runWindow(arrivals, 0, true)
 	}
-	// Trees that never reached their target (capacity-starved, donors all
-	// lost, or the trace simply ended) still report what they did.
+}
+
+// foldFanoutLog folds in the tallies of fan-out trees that never reached
+// their target (capacity-starved, donors all lost, or the trace simply
+// ended): they still report what they did.
+func (s *Simulator) foldFanoutLog() {
 	for _, run := range s.fanoutLog {
 		s.mergeFanout(run)
 	}
-	return &s.collector, nil
 }
 
 // prepare resolves and time-sorts the trace's arrivals, enables the routing
@@ -516,8 +526,8 @@ func (s *Simulator) prepare(trace *workload.Trace) ([]arrival, error) {
 // runWindow replays time-sorted arrivals merged with pending events, firing
 // events strictly before limit (arrivals first at equal timestamps); final
 // drains the event heap completely. Run is one final window over the whole
-// trace, or over each group's share of it on the group workers; RunWindowed
-// calls it per window and per partition worker.
+// trace, and RunStream one window per chunk; on the group path each worker
+// runs the window over its group's share.
 func (s *Simulator) runWindow(arr []arrival, limit time.Duration, final bool) {
 	next := 0
 	for next < len(arr) || s.events.len() > 0 {
@@ -554,26 +564,41 @@ func (s *Simulator) step(ev event) {
 	}
 }
 
+// streamChunk is how many arrivals RunStream pulls from its cursor per
+// chunk. Each chunk forks the group workers and copies its arrivals per
+// group; on the scale benchmark's 8-group cluster that costs 0.021
+// allocations per streamed request at 65,536 arrivals per chunk and 0.023
+// at 16,384, against 0.025 for the materialized indexed replay.
+var streamChunk = 1 << 16
+
 // RunStream replays requests pulled lazily from src — the constant-memory
-// twin of Run: no arrivals slice is materialized, and the collector runs in
-// streaming mode, folding every record into a mergeable Summary instead of
-// retaining it. Memory is bounded by cluster state (nodes, containers,
-// in-flight events), independent of trace length.
+// twin of Run: the collector runs in streaming mode, folding every record
+// into a mergeable Summary instead of retaining it, and arrivals are held
+// one chunk at a time. Memory is bounded by cluster state (nodes,
+// containers, in-flight events) and the chunk, independent of trace length.
 //
-// The arrival/event interleaving matches Run exactly: at equal timestamps
-// arrivals fire before engine events. src must yield requests in
-// nondecreasing timestamp order (any Stream or Trace.Cursor qualifies);
-// out-of-order input or an unknown function name is an error.
+// Each chunk replays like Run, on parallel group workers when the placement
+// of every registered function splits the nodes into groups, with events
+// firing strictly before the next chunk's first arrival, so the
+// arrival/event interleaving matches Run exactly: at equal timestamps
+// arrivals fire before engine events. The group workers stream into
+// summaries of their own, merged exactly into the returned one. src must
+// yield requests in nondecreasing timestamp order (any Stream or
+// Trace.Cursor qualifies); out-of-order input or an unknown function name
+// is an error.
 func (s *Simulator) RunStream(src workload.Cursor) (*metrics.Summary, error) {
 	sum := &metrics.Summary{}
 	s.collector.StreamInto(sum)
 	if !s.cfg.RouteScan || s.cfg.CrossCheckRouting {
 		s.enableIndex()
 	}
-	req, ok := src.Next()
+	groups, nodeGroup := s.replayGroups(true)
+	chunk := make([]arrival, 0, streamChunk)
+	req, more := src.Next()
 	var last time.Duration
-	for ok || s.events.len() > 0 {
-		if ok && (s.events.len() == 0 || req.At <= s.events.nextAt()) {
+	for final := false; !final; {
+		chunk = chunk[:0]
+		for more && len(chunk) < streamChunk {
 			if req.At < last {
 				return nil, fmt.Errorf("simulate: stream out of order: %v after %v", req.At, last)
 			}
@@ -582,16 +607,13 @@ func (s *Simulator) RunStream(src workload.Cursor) (*metrics.Summary, error) {
 			if !known {
 				return nil, fmt.Errorf("simulate: trace references unknown function %q", req.Function)
 			}
-			s.clock = req.At
-			s.arrive(fr, req.At)
-			req, ok = src.Next()
-			continue
+			chunk = append(chunk, arrival{at: req.At, fr: fr})
+			req, more = src.Next()
 		}
-		s.step(s.events.pop())
+		final = !more
+		s.replay(chunk, req.At, final, groups, nodeGroup)
 	}
-	for _, run := range s.fanoutLog {
-		s.mergeFanout(run)
-	}
+	s.foldFanoutLog()
 	sum.Faults.Merge(s.collector.Faults)
 	sum.Fanout.Merge(s.collector.Fanout)
 	return sum, nil

@@ -9,7 +9,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fanout"
 	"repro/internal/faults"
+	"repro/internal/health"
 	"repro/internal/metrics"
 	"repro/internal/policy"
 	"repro/internal/simulate"
@@ -108,13 +110,16 @@ func setProcs(t *testing.T, n int) {
 }
 
 // TestRunGroupsMatchSerial replays fault-free group-split configs through
-// Run and through the serial loop, four times in a row on the same
+// Run and through the serial loop, five times in a row on the same
 // simulators (each replay of the trace shifted past the previous one), and
 // requires the same records (in Start order, equal Starts by group),
 // plan-cache counters, clock, container state and demand EWMAs. Run uses
 // GOMAXPROCS 4, then 1 (one worker replays the groups in turn); the third
-// round replays serially on both simulators, so the last Run's workers start
-// beside a parent event heap that has held events and must not share it.
+// round replays serially on both simulators, so the next Run's workers start
+// beside a parent event heap that has held events and must not share it. The
+// last round streams the trace through RunStream in chunks, with a chunk
+// boundary between two arrivals at one instant where the trace has them, and
+// requires the summary of the serial loop's records.
 func TestRunGroupsMatchSerial(t *testing.T) {
 	setProcs(t, 4)
 	cases := []struct {
@@ -131,44 +136,14 @@ func TestRunGroupsMatchSerial(t *testing.T) {
 			fx := tc.fx
 			par := simulate.New(fx.cfg, fx.fns)
 			ser := simulate.New(fx.cfg, fx.fns)
-			for round, procs := range []int{4, 1, 0, 4} { // 0: serial on both
+			const stream = -1
+			for round, procs := range []int{4, 1, 0, 4, stream} { // 0: serial on both
 				tr := shifted(fx.trace, time.Duration(round)*(fx.trace.Duration+time.Hour))
 				from := par.Collector().Len()
-				run := par.Run
-				if procs == 0 {
-					run = par.RunSerial
+				if procs == stream {
+					streamRound(t, fx, tc.ties, par, ser, tr)
 				} else {
-					runtime.GOMAXPROCS(procs)
-				}
-				got, err := run(tr)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if g := par.ReplayGroups(); g != fx.groups {
-					t.Fatalf("Run replays %d groups, want %d", g, fx.groups)
-				}
-				want, err := ser.RunSerial(tr)
-				if err != nil {
-					t.Fatal(err)
-				}
-				wantRecs, ties := tieOrdered(fx.cfg, want.Records()[from:])
-				if procs == 0 {
-					wantRecs = want.Records()[from:] // both in serial order
-				}
-				if tc.ties && ties == 0 {
-					t.Fatal("the trace starts no requests of different groups at one instant: the tie rule goes untested")
-				}
-				gotRecs := got.Records()[from:]
-				if len(gotRecs) != len(wantRecs) {
-					t.Fatalf("round %d: %d records, serial %d", round, len(gotRecs), len(wantRecs))
-				}
-				for i := range wantRecs {
-					if gotRecs[i] != wantRecs[i] {
-						t.Fatalf("round %d record %d: Run %+v, serial %+v", round, i, gotRecs[i], wantRecs[i])
-					}
-				}
-				if got.MeanLatency() != want.MeanLatency() || got.Faults != want.Faults {
-					t.Errorf("round %d: aggregates differ", round)
+					runRound(t, fx, tc.ties, procs, par, ser, tr, from)
 				}
 				// Deduped counts lookups that waited on another worker's
 				// computation in flight: the one counter that depends on timing.
@@ -193,6 +168,81 @@ func TestRunGroupsMatchSerial(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// runRound replays tr through Run (RunSerial when procs is 0) at GOMAXPROCS
+// procs on par and through the serial loop on ser, and requires the same
+// records, those past from, and aggregates.
+func runRound(t *testing.T, fx groupFixture, ties bool, procs int, par, ser *simulate.Simulator, tr *workload.Trace, from int) {
+	t.Helper()
+	run := par.Run
+	if procs == 0 {
+		run = par.RunSerial
+	} else {
+		runtime.GOMAXPROCS(procs)
+	}
+	got, err := run(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g := par.ReplayGroups(); g != fx.groups {
+		t.Fatalf("Run replays %d groups, want %d", g, fx.groups)
+	}
+	want, err := ser.RunSerial(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRecs, tied := tieOrdered(fx.cfg, want.Records()[from:])
+	if procs == 0 {
+		wantRecs = want.Records()[from:] // both in serial order
+	}
+	if ties && tied == 0 {
+		t.Fatal("the trace starts no requests of different groups at one instant: the tie rule goes untested")
+	}
+	gotRecs := got.Records()[from:]
+	if len(gotRecs) != len(wantRecs) {
+		t.Fatalf("%d records, serial %d", len(gotRecs), len(wantRecs))
+	}
+	for i := range wantRecs {
+		if gotRecs[i] != wantRecs[i] {
+			t.Fatalf("record %d: Run %+v, serial %+v", i, gotRecs[i], wantRecs[i])
+		}
+	}
+	if got.MeanLatency() != want.MeanLatency() || got.Faults != want.Faults {
+		t.Error("aggregates differ")
+	}
+}
+
+// streamRound streams tr through RunStream on par at GOMAXPROCS 4, in chunks
+// that cross at least three boundaries, and requires the summary of the
+// serial loop's records on ser. A trace with arrivals of different groups at
+// one instant must get a chunk boundary between two of them.
+func streamRound(t *testing.T, fx groupFixture, ties bool, par, ser *simulate.Simulator, tr *workload.Trace) {
+	t.Helper()
+	if !chunkFor(t, tr) && ties {
+		t.Fatal("no chunk boundary falls between two arrivals at one instant: the boundary rule goes untested")
+	}
+	runtime.GOMAXPROCS(4)
+	if g := par.StreamGroups(); g != fx.groups {
+		t.Fatalf("RunStream replays %d groups, want %d", g, fx.groups)
+	}
+	from := ser.Collector().Len()
+	got, err := par.RunStream(tr.Cursor())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ser.RunSerial(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wantSum metrics.Summary
+	for _, r := range want.Records()[from:] {
+		wantSum.Observe(r)
+	}
+	if *got != wantSum {
+		t.Fatalf("stream summary != serial summary: count %d vs %d, mean %v vs %v",
+			got.Count(), wantSum.Count(), got.MeanLatency(), wantSum.MeanLatency())
 	}
 }
 
@@ -285,6 +335,53 @@ func TestRunGroupsSerialPath(t *testing.T) {
 	}
 }
 
+// TestWindowedSerialFallbacks checks that every coupling windowSerialReason
+// names, a bounded plan cache and a one-node cluster keep RunStream on the
+// serial loop, on a placement that otherwise streams as several groups, and
+// that the chunked serial stream still equals the serial loop.
+func TestWindowedSerialFallbacks(t *testing.T) {
+	setProcs(t, 4)
+	base := hashAzureFixture(policy.Optimus{})
+	if g := simulate.New(base.cfg, base.fns).StreamGroups(); g < 2 {
+		t.Fatalf("the fixture streams as %d groups; the fallbacks go untested", g)
+	}
+	for _, tc := range []struct {
+		name string
+		mut  func(*simulate.Config)
+	}{
+		{"faults", func(c *simulate.Config) { c.Faults = faults.Rates{Crash: 0.1, Outage: 0.01} }},
+		{"online profiling", func(c *simulate.Config) { c.OnlineProfiling = 0.2 }},
+		{"fanout", func(c *simulate.Config) { c.Fanout = fanout.Config{Enabled: true} }},
+		{"health", func(c *simulate.Config) { c.Health = health.Config{Enabled: true} }},
+		{"bounded cache", func(c *simulate.Config) { c.PlanCacheMax = 4 }},
+		{"single node", func(c *simulate.Config) { c.Nodes = 1; c.Placement = nil }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fx := hashAzureFixture(policy.Optimus{})
+			tc.mut(&fx.cfg)
+			chunkFor(t, fx.trace)
+			sim := simulate.New(fx.cfg, fx.fns)
+			if g := sim.StreamGroups(); g > 1 {
+				t.Fatalf("RunStream replays %d groups, want the serial path", g)
+			}
+			got, err := sim.RunStream(fx.trace.Cursor())
+			if err != nil {
+				t.Fatal(err)
+			}
+			col, err := simulate.New(fx.cfg, fx.fns).RunSerial(fx.trace)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := metrics.SummaryOf(col); *got != *want {
+				t.Fatal("serial stream summary != serial loop summary")
+			}
+			if got.Count() == 0 {
+				t.Error("the stream served no requests")
+			}
+		})
+	}
+}
+
 // panicPolicy is Optimus, except that serving its victim function panics.
 type panicPolicy struct{ victim string }
 
@@ -298,25 +395,36 @@ func (p panicPolicy) Serve(env *simulate.Env, n *simulate.Node, fn *simulate.Fun
 }
 
 // TestRunGroupsReraisesWorkerPanic requires a panic inside a group worker to
-// surface from Run on the caller's goroutine as a *WorkerPanic holding the
-// worker's value and the worker's stack down to the panicking Serve.
+// surface from Run and from RunStream on the caller's goroutine as a
+// *WorkerPanic holding the worker's value and the worker's stack down to the
+// panicking Serve. A plain panic would mean the replay ran serially.
 func TestRunGroupsReraisesWorkerPanic(t *testing.T) {
 	setProcs(t, 4)
 	fx := millionShapedFixture()
 	fx.cfg.Policy = panicPolicy{victim: fx.fns[3].Name}
-	defer func() {
-		r := recover()
-		wp, ok := r.(*simulate.WorkerPanic)
-		if !ok {
-			t.Fatalf("recovered %T %v, want a *simulate.WorkerPanic", r, r)
-		}
-		if wp.Value != "serving "+fx.fns[3].Name {
-			t.Fatalf("worker panic value %v, want the policy's", wp.Value)
-		}
-		if !bytes.Contains(wp.Stack, []byte("panicPolicy.Serve")) {
-			t.Fatalf("worker stack does not reach the panicking Serve:\n%s", wp.Stack)
-		}
-	}()
-	_, _ = simulate.New(fx.cfg, fx.fns).Run(fx.trace)
-	t.Fatal("Run returned despite a panicking worker")
+	for _, tc := range []struct {
+		name string
+		run  func(*simulate.Simulator)
+	}{
+		{"Run", func(s *simulate.Simulator) { _, _ = s.Run(fx.trace) }},
+		{"RunStream", func(s *simulate.Simulator) { _, _ = s.RunStream(fx.trace.Cursor()) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				r := recover()
+				wp, ok := r.(*simulate.WorkerPanic)
+				if !ok {
+					t.Fatalf("recovered %T %v, want a *simulate.WorkerPanic", r, r)
+				}
+				if wp.Value != "serving "+fx.fns[3].Name {
+					t.Fatalf("worker panic value %v, want the policy's", wp.Value)
+				}
+				if !bytes.Contains(wp.Stack, []byte("panicPolicy.Serve")) {
+					t.Fatalf("worker stack does not reach the panicking Serve:\n%s", wp.Stack)
+				}
+			}()
+			tc.run(simulate.New(fx.cfg, fx.fns))
+			t.Fatal("the replay returned despite a panicking worker")
+		})
+	}
 }

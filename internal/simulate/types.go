@@ -470,7 +470,7 @@ func (e *Env) GrantFor(fn *Function) int {
 // cannot serve now (every container busy and no room) and the request queues.
 //
 // Serve may be called concurrently, with the same Env, for nodes in
-// different groups: Run and RunWindowed replay node groups that share no
+// different groups: Run and RunStream replay node groups that share no
 // function on parallel goroutines. It must not change state shared between
 // calls (a memo, a counter, an RNG), or records would vary from run to run.
 type Policy interface {

@@ -82,15 +82,6 @@ var gptVariants = []GPTConfig{
 	{Name: "gpt2-medium", Blocks: 24, Hidden: 1024, Vocab: 50257},
 }
 
-// GPTNames returns the GPT catalog names in order.
-func GPTNames() []string {
-	out := make([]string, len(gptVariants))
-	for i, v := range gptVariants {
-		out[i] = v.Name
-	}
-	return out
-}
-
 // GPTZoo returns the registry of GPT-style decoder models.
 func GPTZoo() *Registry {
 	r := NewRegistry()

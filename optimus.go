@@ -406,7 +406,9 @@ func (s *System) Run(trace *Trace) (*Report, error) {
 // lazily through a cursor and every record folds into a mergeable summary
 // instead of being retained. Aggregate results (counts, mean, kind fractions,
 // fault tallies, exact breakdown sums) are identical to Run's; intermediate
-// percentiles come from a bounded-error sketch (see DESIGN.md).
+// percentiles come from a bounded-error sketch (see DESIGN.md). Like Run, it
+// replays node groups that share no function on parallel workers when
+// nothing couples them.
 func (s *System) RunStream(trace *Trace) (*StreamReport, error) {
 	cfg, err := s.simConfig(trace)
 	if err != nil {
@@ -421,30 +423,6 @@ func (s *System) RunStream(trace *Trace) (*StreamReport, error) {
 		Metrics:  sum,
 		Policy:   string(s.cfg.Policy),
 		Verified: sim.TransformsVerified,
-	}, nil
-}
-
-// RunWindowed replays the trace through time-windowed optimistic parallelism:
-// each window speculates across the placement's per-window independent node
-// partitions on up to GOMAXPROCS goroutines and windows whose active
-// functions conflict replay serially — no globally disjoint placement is
-// required. Results are exactly RunStream's; configurations that couple
-// requests globally (or GOMAXPROCS=1) fall back to serial
-// streaming replay, and StreamReport.Windowing says why.
-func (s *System) RunWindowed(trace *Trace, windows int) (*StreamReport, error) {
-	cfg, err := s.simConfig(trace)
-	if err != nil {
-		return nil, err
-	}
-	sum, rep, err := simulate.RunWindowed(cfg, s.fns, trace.Cursor(), trace.Duration, windows, 0)
-	if err != nil {
-		return nil, err
-	}
-	return &StreamReport{
-		Metrics:   sum,
-		Policy:    string(s.cfg.Policy),
-		Verified:  rep.TransformsVerified,
-		Windowing: rep,
 	}, nil
 }
 
@@ -474,8 +452,8 @@ type Report struct {
 	Health HealthSummary
 }
 
-// StreamReport summarizes a streaming replay (RunStream or RunWindowed):
-// aggregates only, no per-request records.
+// StreamReport summarizes a streaming replay (RunStream): aggregates only,
+// no per-request records.
 type StreamReport struct {
 	// Metrics is the mergeable run summary: exact counts, means, kind and
 	// fault tallies, plus sketched percentiles.
@@ -485,9 +463,6 @@ type StreamReport struct {
 	// Verified counts transformation plans executed through the
 	// meta-operator engine (only with SystemConfig.VerifyTransforms).
 	Verified int
-	// Windowing describes how RunWindowed parallelized the replay (zero for
-	// RunStream).
-	Windowing simulate.WindowReport
 }
 
 // Summary renders a human-readable digest of the streaming run.
@@ -509,20 +484,6 @@ func (r *StreamReport) FaultSummary() string {
 	return fmt.Sprintf(
 		"faults: %d transform fallbacks, %d load retries, %d crashes, %d outages | %d retries, %d dropped",
 		f.TransformFallbacks, f.LoadRetries, f.Crashes, f.Outages, f.Retries, f.Dropped)
-}
-
-// WindowSummary renders how the windowed replay parallelized, or "" for a
-// plain streaming run.
-func (r *StreamReport) WindowSummary() string {
-	w := r.Windowing
-	if w.Workers == 0 {
-		return ""
-	}
-	if !w.Windowed() {
-		return fmt.Sprintf("windows: serial fallback (%s)", w.SerialReason)
-	}
-	return fmt.Sprintf("windows: %d replayed, %d parallel (max %d partitions), %d conflict-serial, %d workers",
-		w.Windows, w.ParallelWindows, w.MaxGroups, w.ConflictWindows, w.Workers)
 }
 
 // FanoutSummary renders the run's fan-out tree tallies, or "" when no tree

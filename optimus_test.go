@@ -1,9 +1,12 @@
 package optimus
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/metrics"
 )
 
 func TestTransformerRoundTrip(t *testing.T) {
@@ -127,6 +130,49 @@ func TestSystemWithBalancer(t *testing.T) {
 	}
 	if rep.Len() != tr.Len() {
 		t.Fatal("balancer run dropped requests")
+	}
+}
+
+// TestSystemRunStreamMatchesRun streams a trace through a balancer-placed
+// system, whose functions sit on one node each so the nodes split into
+// groups that replay on parallel workers, and requires exactly the summary
+// of Run's records on the same trace.
+func TestSystemRunStreamMatchesRun(t *testing.T) {
+	img := Imgclsmob()
+	sys := NewSystem(SystemConfig{Nodes: 4, ContainersPerNode: 2, UseBalancer: true})
+	for _, n := range []string{"resnet18-imagenet", "resnet34-imagenet", "resnet50-imagenet", "vgg11-imagenet",
+		"vgg16-imagenet", "vgg19-imagenet", "densenet121-imagenet", "mobilenet-w1-imagenet"} {
+		sys.MustRegister(n, img.MustGet(n))
+	}
+	tr := MixedPoissonTrace(sys.Functions(), 6*time.Hour, 5)
+	cfg, err := sys.simConfig(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	used := map[int]bool{}
+	for _, ids := range cfg.Placement {
+		if len(ids) != 1 {
+			t.Fatalf("the balancer put a function on %d nodes, want 1", len(ids))
+		}
+		used[ids[0]] = true
+	}
+	if len(used) < 2 {
+		t.Fatalf("the placement uses %d node, want a split into groups", len(used))
+	}
+	rep, err := sys.Run(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srep, err := sys.RunStream(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := metrics.SummaryOf(rep.Collector); *srep.Metrics != *want {
+		t.Fatalf("stream summary != Run summary: %s vs %d requests, mean %v",
+			srep.Summary(), want.Count(), want.MeanLatency())
+	}
+	if got := srep.Summary(); !strings.HasPrefix(got, fmt.Sprintf("%d requests: mean ", tr.Len())) {
+		t.Errorf("summary malformed: %q", got)
 	}
 }
 
