@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet fmt lint lintguard test race bench-scale bench-stream bench-soak bench-recovery bench-fanout bench-gateway microbench precomputeguard scaleguard streamguard soakguard recoveryguard fanoutguard gatewayguard benchtest fuzz check
+.PHONY: build vet fmt lint lintguard test race bench-scale bench-stream bench-soak bench-recovery bench-fanout bench-gateway microbench precomputeguard scaleguard streamguard soakguard recoveryguard fanoutguard gatewayguard fmaguard benchtest fuzz check
 
 build:
 	$(GO) build ./...
@@ -127,6 +127,13 @@ fanoutguard:
 gatewayguard:
 	$(GO) test -run 'TestGateway' ./internal/experiments
 
+# fmaguard cross-compiles the library packages for arm64, ppc64le, s390x and
+# riscv64 with -gcflags=-S and fails on any fused multiply-add instruction,
+# naming its source line: a fused x*y + z rounds once instead of twice, so
+# seeded outputs would differ from amd64's.
+fmaguard:
+	$(GO) test -run '^TestNoFusedMultiplyAdd$$' -v . -fma-guard=true
+
 # benchtest runs the repo benchmark's own tests (TestBenchmarkQuick and its
 # replay-determinism checks). The benchmark is a nested Go module, so the
 # root `go test ./...` never reaches it.
@@ -149,4 +156,4 @@ fuzz:
 # project linter with its JSON gate), a full build, the test suite under the
 # race detector (the gateway stress test needs it), the benchmark
 # regression guards, and the repo benchmark's own tests.
-check: fmt vet lintguard build race precomputeguard scaleguard streamguard soakguard recoveryguard fanoutguard gatewayguard benchtest
+check: fmt vet lintguard build race precomputeguard scaleguard streamguard soakguard recoveryguard fanoutguard gatewayguard fmaguard benchtest

@@ -90,7 +90,7 @@ func DistanceMatrix(pl *planner.Planner, fns []FunctionInfo, cfg Config) [][]flo
 			}
 			corr := metrics.Corr(fns[i].Demand, fns[j].Demand)
 			k := (corr + 1) / 2 // correlated demand → larger distance
-			dist[i][j] = cfg.GammaDistance*e + cfg.GammaDemand*k
+			dist[i][j] = float64(cfg.GammaDistance*e) + float64(cfg.GammaDemand*k)
 		}
 	}
 	return dist

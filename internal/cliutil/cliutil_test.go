@@ -160,3 +160,75 @@ func TestControlPlaneFlagsRejectsConsolidated(t *testing.T) {
 		t.Errorf("self outside peer set not rejected: %v", err)
 	}
 }
+
+// TestFlagGroupsValidate runs each flag group's Validate over one valid row
+// and one row per flag it rejects: the row's error must name that flag, and
+// the valid row must pass.
+func TestFlagGroupsValidate(t *testing.T) {
+	groups := []struct {
+		name     string
+		validate func(fs *flag.FlagSet) func() error
+		valid    []string
+		bad      [][2]string // flag, bad value
+	}{
+		{
+			name: "fault",
+			validate: func(fs *flag.FlagSet) func() error {
+				return RegisterFaultFlags(fs, true).Validate
+			},
+			valid: []string{"-fault-crash", "0.2", "-fault-outage", "1", "-fault-checkpoint", "0"},
+			bad: [][2]string{
+				{"-fault-transform", "1.5"}, {"-fault-load", "-0.1"}, {"-fault-crash", "2"},
+				{"-fault-outage", "NaN"}, {"-fault-hang", "+Inf"}, {"-fault-slow", "-1"},
+				{"-fault-flaky", "1.01"}, {"-fault-bandwidth", "3"}, {"-fault-fanout-crash", "-0.5"},
+				{"-fault-corrupt", "7"}, {"-fault-checkpoint", "1.2"},
+			},
+		},
+		{
+			name: "resilience",
+			validate: func(fs *flag.FlagSet) func() error {
+				return RegisterResilienceFlags(fs).Validate
+			},
+			valid: []string{"-health", "-health-quarantine", "60s", "-health-drain", "0s",
+				"-retry-backoff", "10ms", "-hedge-percentile", "100"},
+			bad: [][2]string{
+				{"-hedge-percentile", "101"}, {"-hedge-percentile", "-1"}, {"-hedge-percentile", "NaN"},
+				{"-health-quarantine", "-1s"}, {"-health-drain", "-5ms"}, {"-retry-backoff", "-1ns"},
+			},
+		},
+		{
+			name: "fanout",
+			validate: func(fs *flag.FlagSet) func() error {
+				return RegisterFanoutFlags(fs).Validate
+			},
+			valid: []string{"-fanout", "-fanout-bandwidth", "2", "-fanout-threshold", "0", "-fanout-max", "16"},
+			bad: [][2]string{
+				{"-fanout-bandwidth", "-1"}, {"-fanout-threshold", "-4"}, {"-fanout-max", "-16"},
+			},
+		},
+	}
+	parse := func(t *testing.T, validate func(*flag.FlagSet) func() error, args ...string) error {
+		t.Helper()
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		v := validate(fs)
+		if err := fs.Parse(args); err != nil {
+			t.Fatalf("parse %v: %v", args, err)
+		}
+		return v()
+	}
+	for _, g := range groups {
+		t.Run(g.name, func(t *testing.T) {
+			if err := parse(t, g.validate, g.valid...); err != nil {
+				t.Errorf("valid flags %v rejected: %v", g.valid, err)
+			}
+			for _, b := range g.bad {
+				err := parse(t, g.validate, b[0]+"="+b[1])
+				if err == nil {
+					t.Errorf("%s=%s accepted", b[0], b[1])
+				} else if !strings.Contains(err.Error(), b[0]+"=") {
+					t.Errorf("%s=%s: error %q does not name the flag", b[0], b[1], err)
+				}
+			}
+		})
+	}
+}

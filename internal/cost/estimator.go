@@ -54,7 +54,7 @@ func NewEstimator(p *Profile, relErr float64, seed int64) *Estimator {
 	for _, t := range types {
 		f := 1.0
 		if relErr > 0 {
-			f = 1 + relErr*(2*rng.Float64()-1)
+			f = 1 + float64(relErr*(2*float64(rng.Float64())-1))
 		}
 		s.factor[t] = f
 	}
@@ -99,7 +99,7 @@ func (e *Estimator) Observe(t model.OpType, predicted, actual time.Duration) {
 	}
 	next := &Snapshot{p: old.p, factor: append([]float64(nil), old.factor...)}
 	ratio := float64(actual) / float64(predicted)
-	next.factor[t] = old.factor[t] * (1 - e.alpha + e.alpha*ratio)
+	next.factor[t] = old.factor[t] * (1 - e.alpha + float64(e.alpha*ratio))
 	e.cur.Store(next)
 	e.observations++
 }

@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -319,7 +321,11 @@ func Fig8(o Options) Fig8Result {
 			dense = op
 		}
 	}
-	sort.Slice(convs, func(i, j int) bool { return convs[i].WeightCount() < convs[j].WeightCount() })
+	// Equal weight counts order by op name, so the pick never rests on the
+	// sort algorithm.
+	slices.SortFunc(convs, func(a, b *model.Operation) int {
+		return cmp.Or(cmp.Compare(a.WeightCount(), b.WeightCount()), cmp.Compare(a.Name, b.Name))
+	})
 	small, large := convs[0], convs[len(convs)-1]
 
 	var res Fig8Result

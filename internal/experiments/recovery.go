@@ -109,6 +109,7 @@ func Recovery(o Options, rates []float64, horizon time.Duration) RecoveryResult 
 				cfg.Hedge = supervisor.HedgeConfig{Percentile: 90, MinSamples: 2}
 			}
 			sim := simulate.New(cfg, fns)
+			sim.Collector().KeepRecords = true // postRestoreHit reads them
 			col, err := sim.Run(tr)
 			if err != nil {
 				panic(err)

@@ -196,14 +196,18 @@ func Scale(o Options, requests, groups int) ScaleBench {
 	scanCfg := fx.cfg
 	scanCfg.RouteScan = true
 	serial, serialMS, serialAllocs := timedRun(res.Requests, func() *metrics.Collector {
-		col, err := simulate.New(scanCfg, fx.fns).Run(fx.trace)
+		sim := simulate.New(scanCfg, fx.fns)
+		sim.Collector().KeepRecords = true // sameRecords compares them
+		col, err := sim.Run(fx.trace)
 		if err != nil {
 			panic(err)
 		}
 		return col
 	})
 	indexed, indexedMS, indexedAllocs := timedRun(res.Requests, func() *metrics.Collector {
-		col, err := simulate.New(fx.cfg, fx.fns).Run(fx.trace)
+		sim := simulate.New(fx.cfg, fx.fns)
+		sim.Collector().KeepRecords = true
+		col, err := sim.Run(fx.trace)
 		if err != nil {
 			panic(err)
 		}

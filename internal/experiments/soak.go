@@ -116,6 +116,7 @@ func soakConfig(o Options, resilient bool) simulate.Config {
 // soakOnce replays the trace under one mode and folds the run into a SoakRun.
 func soakOnce(o Options, fns []*simulate.Function, tr *workload.Trace, resilient bool) SoakRun {
 	sim := simulate.New(soakConfig(o, resilient), fns)
+	sim.Collector().KeepRecords = true // goodputDuringFault reads them
 	col, err := sim.Run(tr)
 	if err != nil {
 		panic(err)

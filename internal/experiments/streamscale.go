@@ -146,7 +146,7 @@ func StreamScale(o Options, requests, groups int) StreamScaleBench {
 	if err != nil {
 		panic(err)
 	}
-	want := *metrics.SummaryOf(col)
+	want := col.Summary
 	col = nil
 	baseSpec := scaleClusterSpec(o, base, groups)
 	var baseSum *metrics.Summary

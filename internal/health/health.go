@@ -287,20 +287,20 @@ func (t *Tracker) observe(node int, now time.Duration, latency time.Duration, fa
 	h := &t.nodes[node]
 	a := t.cfg.Alpha
 	if failed {
-		h.failEWMA = (1-a)*h.failEWMA + a
+		h.failEWMA = float64((1-a)*h.failEWMA) + a
 	} else {
 		h.failEWMA = (1 - a) * h.failEWMA
 		lat := float64(latency)
 		if h.obs == 0 {
 			h.latEWMA = lat
 		} else {
-			h.latEWMA = (1-a)*h.latEWMA + a*lat
+			h.latEWMA = float64((1-a)*h.latEWMA) + float64(a*lat)
 		}
 		h.obs++
 		if t.clusterObs == 0 {
 			t.clusterLat = lat
 		} else {
-			t.clusterLat = (1-a)*t.clusterLat + a*lat
+			t.clusterLat = float64((1-a)*t.clusterLat) + float64(a*lat)
 		}
 		t.clusterObs++
 	}

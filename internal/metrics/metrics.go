@@ -204,161 +204,152 @@ func (f *FanoutStats) Merge(o FanoutStats) {
 	}
 }
 
-// Collector accumulates request records. It maintains running aggregates
-// (latency sum, per-kind counts) and a cached sorted-latency view so that
-// summary reads over million-record replays cost O(1) — or, after new Adds,
-// a sort of just the new latencies merged into the view — instead of
-// re-scanning and re-sorting per call.
+// Collector accumulates a run's request measurements: a Summary of every
+// request (exact counts, per-kind tallies, breakdown sums, faults and fan-out
+// tallies), an exact latency column, so every percentile it reports is exact,
+// and the records themselves only when KeepRecords is set. Replay leaves
+// KeepRecords off, so a million-request run holds 8 bytes per request
+// instead of a Record each; Online turns it on for checkpoints.
 // Collector is not safe for concurrent use; callers that share one across
 // goroutines (the gateway) must serialize access themselves.
 type Collector struct {
+	Summary
+	// KeepRecords makes Add retain every record for Records, PerFunction and
+	// checkpoints. The Summary and the latency column are kept either way.
+	KeepRecords bool
+
 	records []Record
-	// Faults tallies injected failures observed during the run.
-	Faults FaultStats
-	// Fanout tallies fan-out transform-tree activity observed during the run.
-	Fanout FanoutStats
-
-	// latSum and kinds are running aggregates maintained by Add/RestoreFrom.
-	latSum time.Duration
-	kinds  [startKindCount]int
-	// sorted holds the ascending latencies of records[:len(sorted)]: Add
-	// only appends records, so the view stays valid for that prefix until
-	// RestoreFrom clears it.
-	sorted []time.Duration
-	// stream, when set by StreamInto, diverts Adds into a constant-memory
-	// Summary instead of the record slice.
-	stream *Summary
+	// lat is the latency column: lat[:sorted] ascending, lat[sorted:] in Add
+	// order until a percentile read sorts that tail and merges it in, so
+	// repeated reads between Adds cost O(1) and a read after new Adds sorts
+	// only the new latencies.
+	lat    []time.Duration
+	sorted int
 }
 
-// Add appends a record (or, in streaming mode, folds it into the summary).
+// Add folds a record into the summary and the latency column, and retains it
+// when KeepRecords is set.
 func (c *Collector) Add(r Record) {
-	if c.stream != nil {
-		c.stream.Observe(r)
-		return
-	}
-	c.records = append(c.records, r)
-	c.latSum += r.Latency()
-	if int(r.Kind) < int(startKindCount) {
-		c.kinds[r.Kind]++
+	c.Observe(r)
+	c.lat = append(c.lat, r.Latency())
+	if c.KeepRecords {
+		c.records = append(c.records, r)
 	}
 }
 
-// Reserve grows the record store to hold n total records without further
-// reallocation; replay engines call it with the trace length so million-
-// request runs don't pay append-doubling copies. A no-op in streaming mode,
-// which retains no records at all.
-func (c *Collector) Reserve(n int) {
-	if c.stream != nil || n <= cap(c.records) {
-		return
+// Merge folds the collectors os into c: summaries add and latency columns
+// concatenate. When c keeps records, the others' records are appended merged
+// by Start, equal Starts in argument order; each one's records must already
+// be in Start order.
+func (c *Collector) Merge(os ...*Collector) {
+	heads := make([][]Record, 0, len(os))
+	lats, recs := 0, 0
+	for _, o := range os {
+		lats, recs = lats+len(o.lat), recs+len(o.records)
 	}
-	grown := make([]Record, len(c.records), n)
-	copy(grown, c.records)
-	c.records = grown
+	c.lat = slices.Grow(c.lat, lats)
+	if c.KeepRecords {
+		c.records = slices.Grow(c.records, recs)
+	}
+	for _, o := range os {
+		c.Summary.Merge(&o.Summary)
+		c.lat = append(c.lat, o.lat...)
+		if len(o.records) > 0 && c.KeepRecords {
+			heads = append(heads, o.records)
+		}
+	}
+	for len(heads) > 0 {
+		best := 0
+		for i := 1; i < len(heads); i++ {
+			if heads[i][0].Start < heads[best][0].Start {
+				best = i
+			}
+		}
+		// Copy the run of records best holds before any other head's next
+		// one: it stops at the others' earliest Start, before it when an
+		// earlier argument holds that Start, after it otherwise.
+		limit, earlierAtLimit := time.Duration(math.MaxInt64), false
+		for i, h := range heads {
+			if i != best && h[0].Start < limit {
+				limit, earlierAtLimit = h[0].Start, i < best
+			}
+		}
+		recs := heads[best]
+		n := 1
+		for n < len(recs) && (recs[n].Start < limit || recs[n].Start == limit && !earlierAtLimit) {
+			n++
+		}
+		c.records = append(c.records, recs[:n]...)
+		if heads[best] = recs[n:]; len(heads[best]) == 0 {
+			heads = slices.Delete(heads, best, best+1)
+		}
+	}
 }
 
-// Len returns the number of records.
-func (c *Collector) Len() int { return len(c.records) }
+// Reset empties the collector, keeping KeepRecords and the capacity of its
+// record and latency buffers for the requests that follow.
+func (c *Collector) Reset() {
+	*c = Collector{KeepRecords: c.KeepRecords, records: c.records[:0], lat: c.lat[:0]}
+}
 
-// Records returns the accumulated records (backing store; do not mutate).
+// Len returns the number of requests collected.
+func (c *Collector) Len() int { return c.Count() }
+
+// Records returns the retained records (backing store; do not mutate):
+// empty unless KeepRecords was set while they were added.
 func (c *Collector) Records() []Record { return c.records }
 
 // RestoreFrom replaces the collector's contents with a checkpointed snapshot:
-// the records are copied (the caller's slice is not retained), the fault
-// tallies overwritten, and every cached aggregate rebuilt from the restored
-// records.
+// every record is added again (the caller's slice is not retained), then the
+// fault tallies are overwritten. KeepRecords and the fan-out tallies stay.
 func (c *Collector) RestoreFrom(records []Record, faults FaultStats) {
-	c.records = append([]Record(nil), records...)
+	*c = Collector{KeepRecords: c.KeepRecords, Summary: Summary{Fanout: c.Fanout}}
+	for _, r := range records {
+		c.Add(r)
+	}
 	c.Faults = faults
-	c.latSum = 0
-	c.kinds = [startKindCount]int{}
-	for _, r := range c.records {
-		c.latSum += r.Latency()
-		if int(r.Kind) < int(startKindCount) {
-			c.kinds[r.Kind]++
-		}
-	}
-	c.sorted = nil
 }
 
-// MeanLatency returns the average end-to-end service time.
-func (c *Collector) MeanLatency() time.Duration {
-	if len(c.records) == 0 {
-		return 0
-	}
-	return c.latSum / time.Duration(len(c.records))
-}
-
-// sortedLatencies returns the ascending latency view. Latencies added since
-// the last call are sorted on their own, then merged in from the back.
+// sortedLatencies returns the ascending latency column. Latencies added
+// since the last call are sorted on their own, then merged in from the back.
 func (c *Collector) sortedLatencies() []time.Duration {
-	m, n := len(c.sorted), len(c.records)
+	m, n := c.sorted, len(c.lat)
 	if m == n {
-		return c.sorted
+		return c.lat
 	}
-	c.sorted = slices.Grow(c.sorted, n-m)[:n]
-	for i, r := range c.records[m:] {
-		c.sorted[m+i] = r.Latency()
-	}
-	slices.Sort(c.sorted[m:])
+	c.sorted = n
+	slices.Sort(c.lat[m:])
 	if m == 0 {
-		return c.sorted
+		return c.lat
 	}
-	fresh := slices.Clone(c.sorted[m:])
+	fresh := slices.Clone(c.lat[m:])
 	i, j := m-1, len(fresh)-1
 	for w := n - 1; j >= 0; w-- {
-		if i >= 0 && c.sorted[i] > fresh[j] {
-			c.sorted[w] = c.sorted[i]
+		if i >= 0 && c.lat[i] > fresh[j] {
+			c.lat[w] = c.lat[i]
 			i--
 		} else {
-			c.sorted[w] = fresh[j]
+			c.lat[w] = fresh[j]
 			j--
 		}
 	}
-	return c.sorted
+	return c.lat
 }
 
-// Percentile returns the p-th latency percentile (p in [0,100]). Repeated
-// calls between Adds reuse the cached sorted view.
+// Percentile returns the exact p-th latency percentile (p in [0,100]).
+// Repeated calls between Adds reuse the sorted column.
 func (c *Collector) Percentile(p float64) time.Duration {
-	if len(c.records) == 0 {
+	if len(c.lat) == 0 {
 		return 0
 	}
 	return PercentileSorted(c.sortedLatencies(), p)
 }
 
-// Percentiles returns the latency percentiles for each p in ps, sharing a
-// single sorted view across all of them.
+// Percentiles returns the exact latency percentiles for each p in ps.
 func (c *Collector) Percentiles(ps ...float64) []time.Duration {
 	out := make([]time.Duration, len(ps))
-	if len(c.records) == 0 {
-		return out
-	}
-	sorted := c.sortedLatencies()
 	for i, p := range ps {
-		out[i] = PercentileSorted(sorted, p)
-	}
-	return out
-}
-
-// KindCounts tallies records per start kind.
-func (c *Collector) KindCounts() map[StartKind]int {
-	out := make(map[StartKind]int, int(startKindCount))
-	for k, n := range c.kinds {
-		if n > 0 {
-			out[StartKind(k)] = n
-		}
-	}
-	return out
-}
-
-// KindFractions returns each start kind's share of requests (Fig 14).
-func (c *Collector) KindFractions() map[StartKind]float64 {
-	out := make(map[StartKind]float64, int(startKindCount))
-	if len(c.records) == 0 {
-		return out
-	}
-	for k, n := range c.KindCounts() {
-		out[k] = float64(n) / float64(len(c.records))
+		out[i] = c.Percentile(p)
 	}
 	return out
 }
@@ -384,22 +375,17 @@ func (q QuickStats) Fraction(kind StartKind) float64 {
 	return q.Fractions[kind]
 }
 
-// Quick returns the stats-endpoint summary in one pass over the cached
-// aggregates: allocation-free while the sorted view is valid; after new
-// Adds, one sort and merge of just the new latencies.
+// Quick returns the stats-endpoint summary from the running aggregates:
+// allocation-free while the sorted column is valid; after new Adds, one sort
+// and merge of just the new latencies.
 func (c *Collector) Quick() QuickStats {
-	q := QuickStats{Requests: len(c.records), Mean: c.MeanLatency()}
-	if len(c.records) == 0 {
-		return q
-	}
-	sorted := c.sortedLatencies()
-	q.P50 = PercentileSorted(sorted, 50)
-	q.P99 = PercentileSorted(sorted, 99)
-	total := float64(len(c.records))
-	for k, n := range c.kinds {
-		// Divide per kind (not multiply by a shared reciprocal) so the values
-		// match KindFractions bit-for-bit.
-		q.Fractions[k] = float64(n) / total
+	q := QuickStats{Requests: c.Len(), Mean: c.MeanLatency(), P50: c.Percentile(50), P99: c.Percentile(99)}
+	for k, n := range c.Kinds {
+		if n > 0 {
+			// Divide per kind (not multiply by a shared reciprocal) so the
+			// values match KindFractions bit-for-bit.
+			q.Fractions[k] = float64(n) / float64(q.Requests)
+		}
 	}
 	return q
 }
@@ -412,23 +398,8 @@ type Breakdown struct {
 // Total sums the breakdown.
 func (b Breakdown) Total() time.Duration { return b.Wait + b.Init + b.Load + b.Compute }
 
-// MeanBreakdown averages the per-request latency decomposition.
-func (c *Collector) MeanBreakdown() Breakdown {
-	var b Breakdown
-	if len(c.records) == 0 {
-		return b
-	}
-	for _, r := range c.records {
-		b.Wait += r.Wait
-		b.Init += r.Init
-		b.Load += r.Load
-		b.Compute += r.Compute
-	}
-	n := time.Duration(len(c.records))
-	return Breakdown{b.Wait / n, b.Init / n, b.Load / n, b.Compute / n}
-}
-
-// PerFunction splits the collector by function name.
+// PerFunction splits the retained records by function name (empty unless
+// KeepRecords was set).
 func (c *Collector) PerFunction() map[string]*Collector {
 	out := make(map[string]*Collector)
 	for _, r := range c.records {
@@ -465,9 +436,9 @@ func Corr(a, b []float64) float64 {
 	var num, va, vb float64
 	for i := range a {
 		da, db := a[i]-ma, b[i]-mb
-		num += da * db
-		va += da * da
-		vb += db * db
+		num += float64(da * db)
+		va += float64(da * da)
+		vb += float64(db * db)
 	}
 	if va == 0 || vb == 0 {
 		return 0
@@ -598,8 +569,8 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 // LatencyHistogram buckets the collector's request latencies.
 func (c *Collector) LatencyHistogram(width time.Duration, n int) *Histogram {
 	h := NewHistogram(width, n)
-	for _, r := range c.records {
-		h.Observe(r.Latency())
+	for _, d := range c.lat {
+		h.Observe(d)
 	}
 	return h
 }

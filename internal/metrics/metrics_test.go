@@ -121,7 +121,7 @@ func TestMeanBreakdown(t *testing.T) {
 }
 
 func TestPerFunction(t *testing.T) {
-	var c Collector
+	c := Collector{KeepRecords: true}
 	c.Add(rec("a", StartWarm, 0, time.Millisecond))
 	c.Add(rec("b", StartCold, 0, 2*time.Millisecond))
 	c.Add(rec("a", StartCold, 0, 3*time.Millisecond))
@@ -338,7 +338,7 @@ func TestSortedViewMatchesFullSort(t *testing.T) {
 	ps := []float64{0, 1, 25, 50, 90, 99, 99.9, 100}
 	for seed := int64(1); seed <= 10; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		var c Collector
+		c := Collector{KeepRecords: true}
 		for op := 0; op < 400; op++ {
 			switch u := rng.Intn(100); {
 			case u < 70:

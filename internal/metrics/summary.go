@@ -3,10 +3,12 @@ package metrics
 import "time"
 
 // Summary is the mergeable, constant-memory digest of a run: a log-linear
-// latency sketch plus exact running aggregates. It is what streaming replay
-// produces instead of a record slice — counts, sums, max, per-kind tallies
-// and fault/fan-out counters are exact; only intermediate latency quantiles
-// carry the digest's bounded relative error (≤ 2^-digestSubBits).
+// latency sketch plus exact running aggregates. It is what RunStream returns
+// and the aggregate block every Collector embeds — counts, sums, max,
+// per-kind tallies and fault/fan-out counters are exact; only intermediate
+// latency quantiles carry the digest's bounded relative error
+// (≤ 2^-digestSubBits). A Collector's own percentiles come from its exact
+// latency column instead.
 //
 // Summary holds no pointers, so two summaries compare with == — the
 // equality the streaming-vs-materialized and group-vs-serial oracles rely
@@ -115,19 +117,6 @@ func (s *Summary) MeanBreakdown() Breakdown {
 	return Breakdown{s.Wait / n, s.Init / n, s.Load / n, s.Compute / n}
 }
 
-// SummaryOf summarizes a materialized collector: fold every record, then
-// carry over the fault and fan-out tallies. A streaming replay of the same
-// trace must produce a == summary — the sketch-fidelity oracle.
-func SummaryOf(c *Collector) *Summary {
-	s := &Summary{}
-	for _, r := range c.Records() {
-		s.Observe(r)
-	}
-	s.Faults.Merge(c.Faults)
-	s.Fanout.Merge(c.Fanout)
-	return s
-}
-
 // Merge folds another run's fault tallies into f (all fields are counters,
 // so every field adds).
 func (f *FaultStats) Merge(o FaultStats) {
@@ -148,13 +137,3 @@ func (f *FaultStats) Merge(o FaultStats) {
 	f.HedgeWins += o.HedgeWins
 	f.BackoffRetries += o.BackoffRetries
 }
-
-// StreamInto diverts every subsequent Add into the summary: the collector
-// retains no records, keeping replay memory independent of trace length.
-// Reads that need the record slice (Records, Percentile, PerFunction) see an
-// empty collector while streaming; the summary is the source of truth.
-func (c *Collector) StreamInto(sum *Summary) { c.stream = sum }
-
-// Stream returns the summary Adds are diverted into, or nil when the
-// collector retains records.
-func (c *Collector) Stream() *Summary { return c.stream }

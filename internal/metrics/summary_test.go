@@ -1,8 +1,10 @@
 package metrics
 
 import (
+	"cmp"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 )
@@ -166,49 +168,85 @@ func TestSummaryMergeMatchesConcatenation(t *testing.T) {
 	if merged != whole {
 		t.Fatal("merged shard summaries != summary of concatenated stream")
 	}
-	if got := *SummaryOf(&col); got != whole {
-		t.Fatal("SummaryOf(collector) != streaming summary of same records")
+	if col.Summary != whole {
+		t.Fatal("collector summary != streaming summary of same records")
 	}
 }
 
-// TestCollectorStreamInto checks streaming mode retains nothing and produces
-// the same summary a materialized collector derives.
-func TestCollectorStreamInto(t *testing.T) {
+// TestCollectorKeepRecords checks that a collector retains records only when
+// asked, and that its aggregates and exact percentiles do not depend on it.
+func TestCollectorKeepRecords(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	recs := make([]Record, 2000)
 	for i := range recs {
 		recs[i] = randomRecord(rng)
 	}
-	var mat Collector
-	for _, r := range recs {
-		mat.Add(r)
-	}
+	kept := Collector{KeepRecords: true}
+	var bare Collector
 	var sum Summary
-	var str Collector
-	str.StreamInto(&sum)
-	str.Reserve(len(recs)) // must not allocate records in streaming mode
 	for _, r := range recs {
-		str.Add(r)
+		kept.Add(r)
+		bare.Add(r)
+		sum.Observe(r)
 	}
-	if str.Len() != 0 || len(str.Records()) != 0 {
-		t.Fatalf("streaming collector retained %d records", str.Len())
+	if len(bare.Records()) != 0 || !slices.Equal(kept.Records(), recs) {
+		t.Fatalf("retained %d records without KeepRecords and %d of %d with it",
+			len(bare.Records()), len(kept.Records()), len(recs))
 	}
-	if str.Stream() != &sum {
-		t.Fatal("Stream() is not the summary given to StreamInto")
+	if bare.Summary != sum || kept.Summary != sum {
+		t.Fatal("collector summary != summary of the same records")
 	}
-	if want := *SummaryOf(&mat); sum != want {
-		t.Fatal("streamed summary != SummaryOf(materialized collector)")
+	if bare.Len() != len(recs) || bare.MeanLatency() != kept.MeanLatency() {
+		t.Fatalf("len %d mean %v, want %d and %v", bare.Len(), bare.MeanLatency(), len(recs), kept.MeanLatency())
 	}
-	if sum.Count() != len(recs) {
-		t.Fatalf("count %d, want %d", sum.Count(), len(recs))
+	lats := make([]time.Duration, len(recs))
+	for i, r := range recs {
+		lats[i] = r.Latency()
 	}
-	if sum.MeanLatency() != mat.MeanLatency() {
-		t.Fatalf("mean %v != %v (mean is exact)", sum.MeanLatency(), mat.MeanLatency())
-	}
-	for k, n := range mat.KindCounts() {
-		if sum.KindCounts()[k] != n {
-			t.Fatalf("kind %v: %d vs %d", k, sum.KindCounts()[k], n)
+	slices.Sort(lats)
+	for _, p := range []float64{0, 50, 99, 99.9, 100} {
+		if got, want := bare.Percentile(p), PercentileSorted(lats, p); got != want {
+			t.Fatalf("p%v = %v, want the exact %v", p, got, want)
 		}
+	}
+}
+
+// TestCollectorMerge splits records over three collectors, each in Start
+// order, and requires the merge to equal one collector of all of them:
+// records ordered by Start, equal Starts by argument order.
+func TestCollectorMerge(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	parts := []Collector{{KeepRecords: true}, {KeepRecords: true}, {KeepRecords: true}}
+	var all []Record
+	for start := time.Duration(0); len(all) < 3000; start += time.Duration(rng.Intn(3)) * time.Millisecond {
+		r := randomRecord(rng)
+		r.Start = start // few distinct Starts, so parts tie
+		p := rng.Intn(len(parts))
+		r.Function = string(rune('a' + p))
+		parts[p].Add(r)
+		parts[p].Faults.Crashes++
+		all = append(all, r)
+	}
+	slices.SortStableFunc(all, func(a, b Record) int {
+		return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(a.Function, b.Function))
+	})
+	want := Collector{KeepRecords: true}
+	for _, r := range all {
+		want.Add(r)
+	}
+	want.Faults.Crashes = len(all)
+	got := Collector{KeepRecords: true}
+	got.Merge(&parts[0], &parts[1], &parts[2])
+	if !slices.Equal(got.Records(), want.Records()) {
+		t.Fatal("merged records are not in Start order, equal Starts by argument order")
+	}
+	if got.Summary != want.Summary || !slices.Equal(got.sortedLatencies(), want.sortedLatencies()) {
+		t.Fatal("merged aggregates differ from one collector of every record")
+	}
+	var bare Collector
+	bare.Merge(&parts[0], &parts[1], &parts[2])
+	if len(bare.Records()) != 0 || bare.Summary != want.Summary {
+		t.Fatal("a collector without KeepRecords must merge aggregates only")
 	}
 }
 

@@ -72,7 +72,7 @@ func replayDigest(t *testing.T, cfg simulate.Config, fns []*simulate.Function) (
 	cfg.Retry = supervisor.BackoffConfig{Base: 50 * time.Millisecond}
 	cfg.Hedge = supervisor.HedgeConfig{Percentile: 90}
 	sim := simulate.New(cfg, fns)
-	col, err := sim.Run(workload.AzureLike(names, 12*time.Hour, 97))
+	col, err := recording(sim).Run(workload.AzureLike(names, 12*time.Hour, 97))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -421,8 +421,9 @@ func (s *Simulator) enableIndex() {
 			}
 		}
 		// The maturation ring requires monotone fire times; pre-existing idle
-		// containers carry arbitrary LastDone values, so sort before seeding.
-		sort.Slice(young, func(i, j int) bool { return young[i].at < young[j].at })
+		// containers carry arbitrary LastDone values, so sort before seeding,
+		// equal times in container order.
+		slices.SortStableFunc(young, func(a, b idxTimer) int { return cmp.Compare(a.at, b.at) })
 		for _, t := range young {
 			ix.matureQ.push(t)
 		}
@@ -441,52 +442,35 @@ type arrival struct {
 	fr *fnRuntime
 }
 
-// Run replays the trace to completion and returns the collected metrics.
-// Unknown function names in the trace are an error.
+// Run replays the trace to completion and returns the collected metrics:
+// the simulator's collector, which keeps records only when its KeepRecords
+// is set. Unknown function names in the trace are an error; the requests
+// before the first chunk holding one have been replayed by then.
 //
-// Arrivals are not pushed onto the event heap: the trace is resolved and
-// time-sorted upfront, then stream-merged with engine events by runWindow,
-// keeping the heap sized by in-flight work instead of trace length. Ordering
-// matches the previous all-in-one heap exactly: at equal timestamps arrivals
-// fire before engine events (arrivals held the lower sequence numbers),
-// arrivals keep trace order (stable sort), and engine events keep scheduling
-// order.
+// Run is RunStream over trace.Cursor(), folding into the collector instead
+// of a summary. A trace out of arrival order is replayed as a stably sorted
+// copy, so equal arrivals keep trace order. Arrivals are not pushed onto the
+// event heap: each chunk is merged with engine events by runChunk, keeping
+// the heap sized by in-flight work instead of trace length.
 //
-// When the functions' candidate sets split the nodes into two or more groups
-// and nothing couples them (replayGroups), the groups replay on up to
-// GOMAXPROCS parallel workers (runGroups), so cfg.Policy.Serve is called
-// concurrently for nodes in different groups and must not change state
-// shared between calls (see Policy). Every record, aggregate and counter is
-// the serial loop's; only the order of records that start at the same
-// instant in different groups is fixed by group (mergeRecords) rather than
-// by event order, so record order does not depend on GOMAXPROCS.
+// When the registered functions' candidate sets split the nodes into two or
+// more groups and nothing couples them (replayGroups), the groups replay on
+// up to GOMAXPROCS parallel workers (runGroups), so cfg.Policy.Serve is
+// called concurrently for nodes in different groups and must not change
+// state shared between calls (see Policy). Every record, aggregate and
+// counter is the serial loop's; only the order of records that start at the
+// same instant in different groups is fixed by group (Collector.Merge)
+// rather than by event order, so record order does not depend on GOMAXPROCS.
 func (s *Simulator) Run(trace *workload.Trace) (*metrics.Collector, error) {
-	arrivals, err := s.prepare(trace)
-	if err != nil {
+	byAt := func(a, b workload.Request) int { return cmp.Compare(a.At, b.At) }
+	if !slices.IsSortedFunc(trace.Requests, byAt) {
+		trace = &workload.Trace{Requests: slices.Clone(trace.Requests), Duration: trace.Duration}
+		slices.SortStableFunc(trace.Requests, byAt)
+	}
+	if err := s.runChunks(trace.Cursor(), nil); err != nil {
 		return nil, err
 	}
-	groups, nodeGroup := s.replayGroups(false)
-	s.replay(arrivals, 0, true, groups, nodeGroup)
-	s.foldFanoutLog()
 	return &s.collector, nil
-}
-
-// replay replays time-sorted arrivals merged with pending events like
-// runWindow, on the group workers when the nodes split into two or more
-// groups (runGroups), and otherwise on s.
-func (s *Simulator) replay(arr []arrival, limit time.Duration, final bool, groups int, nodeGroup []int) {
-	if groups < 2 || len(arr) == 0 {
-		s.runWindow(arr, limit, final)
-		return
-	}
-	s.mergeRecords(s.runGroups(arr, limit, final, groups, nodeGroup, runtime.GOMAXPROCS(0)))
-	if final {
-		// Events on nodes no group owns touch nothing else: they drain
-		// afterwards without moving the clock back.
-		clock := s.clock
-		s.runWindow(nil, 0, true)
-		s.clock = max(s.clock, clock)
-	}
 }
 
 // foldFanoutLog folds in the tallies of fan-out trees that never reached
@@ -498,37 +482,11 @@ func (s *Simulator) foldFanoutLog() {
 	}
 }
 
-// prepare resolves and time-sorts the trace's arrivals, enables the routing
-// index and sizes the collector for the replay.
-func (s *Simulator) prepare(trace *workload.Trace) ([]arrival, error) {
-	arrivals := make([]arrival, len(trace.Requests))
-	inOrder := true
-	for i, r := range trace.Requests {
-		fr, ok := s.resolve(r.Function)
-		if !ok {
-			return nil, fmt.Errorf("simulate: trace references unknown function %q", r.Function)
-		}
-		arrivals[i] = arrival{at: r.At, fr: fr}
-		if i > 0 && r.At < arrivals[i-1].at {
-			inOrder = false
-		}
-	}
-	if !inOrder {
-		slices.SortStableFunc(arrivals, func(a, b arrival) int { return cmp.Compare(a.at, b.at) })
-	}
-	if !s.cfg.RouteScan || s.cfg.CrossCheckRouting {
-		s.enableIndex()
-	}
-	s.collector.Reserve(s.collector.Len() + len(arrivals))
-	return arrivals, nil
-}
-
-// runWindow replays time-sorted arrivals merged with pending events, firing
+// runChunk replays time-sorted arrivals merged with pending events, firing
 // events strictly before limit (arrivals first at equal timestamps); final
-// drains the event heap completely. Run is one final window over the whole
-// trace, and RunStream one window per chunk; on the group path each worker
-// runs the window over its group's share.
-func (s *Simulator) runWindow(arr []arrival, limit time.Duration, final bool) {
+// drains the event heap completely. runChunks calls it once per chunk, on s
+// or, on the group path, on every group worker with its group's share.
+func (s *Simulator) runChunk(arr []arrival, limit time.Duration, final bool) {
 	next := 0
 	for next < len(arr) || s.events.len() > 0 {
 		if next < len(arr) && (s.events.len() == 0 || arr[next].at <= s.events.nextAt()) {
@@ -564,59 +522,110 @@ func (s *Simulator) step(ev event) {
 	}
 }
 
-// streamChunk is how many arrivals RunStream pulls from its cursor per
-// chunk. Each chunk forks the group workers and copies its arrivals per
-// group; on the scale benchmark's 8-group cluster that costs 0.021
-// allocations per streamed request at 65,536 arrivals per chunk and 0.023
-// at 16,384, against 0.025 for the materialized indexed replay.
+// streamChunk is how many arrivals runChunks pulls from its cursor per
+// chunk, held in per-group buffers that are reused across chunks.
 var streamChunk = 1 << 16
 
-// RunStream replays requests pulled lazily from src — the constant-memory
-// twin of Run: the collector runs in streaming mode, folding every record
-// into a mergeable Summary instead of retaining it, and arrivals are held
-// one chunk at a time. Memory is bounded by cluster state (nodes,
-// containers, in-flight events) and the chunk, independent of trace length.
-//
-// Each chunk replays like Run, on parallel group workers when the placement
-// of every registered function splits the nodes into groups, with events
-// firing strictly before the next chunk's first arrival, so the
-// arrival/event interleaving matches Run exactly: at equal timestamps
-// arrivals fire before engine events. The group workers stream into
-// summaries of their own, merged exactly into the returned one. src must
+// RunStream replays requests pulled lazily from src — Run's constant-memory
+// twin: it returns a Summary and leaves the simulator's collector as it was.
+// Memory is bounded by cluster state (nodes, containers, in-flight events)
+// and one chunk of arrivals and latencies, independent of trace length.
+// Like Run it replays on parallel group workers when the placement of every
+// registered function splits the nodes into groups; only its quantiles come
+// from the Summary's sketch instead of an exact latency column. src must
 // yield requests in nondecreasing timestamp order (any Stream or
 // Trace.Cursor qualifies); out-of-order input or an unknown function name
 // is an error.
 func (s *Simulator) RunStream(src workload.Cursor) (*metrics.Summary, error) {
+	kept := s.collector
+	s.collector = metrics.Collector{}
+	defer func() { s.collector = kept }()
 	sum := &metrics.Summary{}
-	s.collector.StreamInto(sum)
-	if !s.cfg.RouteScan || s.cfg.CrossCheckRouting {
-		s.enableIndex()
+	if err := s.runChunks(src, sum); err != nil {
+		return nil, err
 	}
-	groups, nodeGroup := s.replayGroups(true)
-	chunk := make([]arrival, 0, streamChunk)
+	return sum, nil
+}
+
+// runChunks is the one replay loop behind Run and RunStream. It pulls src in
+// chunks of streamChunk arrivals and replays each merged with engine events,
+// firing events strictly before the next chunk's first arrival, so the
+// interleaving is the serial loop's: at equal timestamps arrivals fire
+// before engine events. When the nodes split into groups it forks the group
+// workers once, hands each chunk's arrivals to their group's worker, and
+// joins the workers when the trace ends. With stream set, every collector is
+// folded into it and emptied after each chunk, so no latency column grows
+// past one chunk.
+func (s *Simulator) runChunks(src workload.Cursor, stream *metrics.Summary) error {
+	groups, nodeGroup := s.replayGroups()
+	if !s.cfg.RouteScan || s.cfg.CrossCheckRouting {
+		s.enableIndex() // after the partition, which may assign ordinals: the index sizes by them
+	}
+	var ws []*Simulator
+	if groups >= 2 {
+		ws = s.forkGroups(groups, nodeGroup)
+	}
+	cols := []*metrics.Collector{&s.collector}
+	for _, w := range ws {
+		cols = append(cols, &w.collector)
+	}
+	bufs := make([][]arrival, max(groups, 1))
 	req, more := src.Next()
 	var last time.Duration
+	var err error
 	for final := false; !final; {
-		chunk = chunk[:0]
-		for more && len(chunk) < streamChunk {
+		for g := range bufs {
+			bufs[g] = bufs[g][:0]
+		}
+		for n := 0; more && n < streamChunk; n++ {
 			if req.At < last {
-				return nil, fmt.Errorf("simulate: stream out of order: %v after %v", req.At, last)
+				err = fmt.Errorf("simulate: stream out of order: %v after %v", req.At, last)
+				break
 			}
 			last = req.At
 			fr, known := s.resolve(req.Function)
 			if !known {
-				return nil, fmt.Errorf("simulate: trace references unknown function %q", req.Function)
+				err = fmt.Errorf("simulate: trace references unknown function %q", req.Function)
+				break
 			}
-			chunk = append(chunk, arrival{at: req.At, fr: fr})
+			g := 0
+			if ws != nil {
+				g = nodeGroup[fr.cands[0].ID]
+			}
+			bufs[g] = append(bufs[g], arrival{at: req.At, fr: fr})
 			req, more = src.Next()
 		}
+		if err != nil {
+			break
+		}
 		final = !more
-		s.replay(chunk, req.At, final, groups, nodeGroup)
+		if ws == nil {
+			s.runChunk(bufs[0], req.At, final)
+		} else {
+			runGroups(ws, bufs, req.At, final, runtime.GOMAXPROCS(0))
+		}
+		if stream != nil {
+			for _, c := range cols {
+				stream.Merge(&c.Summary)
+				c.Reset()
+			}
+		}
+	}
+	if ws != nil {
+		s.joinGroups(ws)
+		if err == nil {
+			// Events on nodes no group owns touch nothing else: they drain
+			// afterwards without moving the clock back.
+			clock := s.clock
+			s.runChunk(nil, 0, true)
+			s.clock = max(s.clock, clock)
+		}
 	}
 	s.foldFanoutLog()
-	sum.Faults.Merge(s.collector.Faults)
-	sum.Fanout.Merge(s.collector.Fanout)
-	return sum, nil
+	if stream != nil {
+		stream.Merge(&s.collector.Summary)
+	}
+	return err
 }
 
 type eventKind uint8

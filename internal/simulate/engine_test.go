@@ -13,6 +13,13 @@ import (
 	"repro/internal/zoo"
 )
 
+// recording turns on s's record keeping, for tests that read Records, and
+// returns s.
+func recording(s *simulate.Simulator) *simulate.Simulator {
+	s.Collector().KeepRecords = true
+	return s
+}
+
 func testFunctions(t testing.TB, names ...string) []*simulate.Function {
 	t.Helper()
 	img := zoo.Imgclsmob()
@@ -40,7 +47,7 @@ func TestColdThenWarm(t *testing.T) {
 		},
 	}
 	sim := simulate.New(simulate.Config{Policy: policy.OpenWhisk{}}, fns)
-	col, err := sim.Run(tr)
+	col, err := recording(sim).Run(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +81,7 @@ func TestKeepAliveExpiry(t *testing.T) {
 		},
 	}
 	sim := simulate.New(simulate.Config{Policy: policy.OpenWhisk{}}, fns)
-	col, err := sim.Run(tr)
+	col, err := recording(sim).Run(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +114,7 @@ func TestOptimusTransformsIdleContainer(t *testing.T) {
 		ContainersPerNode: 1, // full node: the idle container would be recycled
 		VerifyTransforms:  true,
 	}, fns)
-	col, err := sim.Run(tr)
+	col, err := recording(sim).Run(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +147,7 @@ func TestIdleThresholdRespected(t *testing.T) {
 		},
 	}
 	sim := simulate.New(simulate.Config{Policy: policy.Optimus{}, ContainersPerNode: 1}, fns)
-	col, err := sim.Run(tr)
+	col, err := recording(sim).Run(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +170,7 @@ func TestQueueingWhenSaturated(t *testing.T) {
 		Nodes:             1,
 		ContainersPerNode: 1,
 	}, fns)
-	col, err := sim.Run(tr)
+	col, err := recording(sim).Run(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +196,7 @@ func TestPagurusSavesSandboxInit(t *testing.T) {
 		},
 	}
 	sim := simulate.New(simulate.Config{Policy: policy.Pagurus{}, ContainersPerNode: 1}, fns)
-	col, err := sim.Run(tr)
+	col, err := recording(sim).Run(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,12 +237,12 @@ func TestTetrisSharesIdenticalOps(t *testing.T) {
 		}
 	}
 	simBert := simulate.New(simulate.Config{Policy: policy.Tetris{}, ContainersPerNode: 2}, fns)
-	colBert, err := simBert.Run(mk("sc", "qa"))
+	colBert, err := recording(simBert).Run(mk("sc", "qa"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	simR50 := simulate.New(simulate.Config{Policy: policy.Tetris{}, ContainersPerNode: 2}, fns)
-	colR50, err := simR50.Run(mk("r50a", "r50b"))
+	colR50, err := recording(simR50).Run(mk("r50a", "r50b"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -456,7 +463,7 @@ func TestLongHorizonStability(t *testing.T) {
 		Nodes:             2,
 		ContainersPerNode: 3,
 	}, fns)
-	col, err := sim.Run(tr)
+	col, err := recording(sim).Run(tr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,9 @@
 package simulate
 
 import (
+	"cmp"
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -8,29 +11,32 @@ import (
 	"repro/internal/workload"
 )
 
-// RunSerial replays the trace like Run, but always on the one serial loop
-// and in its record order: the reference the group-parallel tests compare
-// Run with.
+// RunSerial replays the trace like Run, but in one chunk on the one serial
+// loop, keeping every record in its serial order: the reference the
+// group-parallel tests compare Run and RunStream with.
 func (s *Simulator) RunSerial(trace *workload.Trace) (*metrics.Collector, error) {
-	arrivals, err := s.prepare(trace)
-	if err != nil {
-		return nil, err
+	arrivals := make([]arrival, len(trace.Requests))
+	for i, r := range trace.Requests {
+		fr, ok := s.resolve(r.Function)
+		if !ok {
+			return nil, fmt.Errorf("simulate: trace references unknown function %q", r.Function)
+		}
+		arrivals[i] = arrival{at: r.At, fr: fr}
 	}
-	s.runWindow(arrivals, 0, true)
+	slices.SortStableFunc(arrivals, func(a, b arrival) int { return cmp.Compare(a.at, b.at) })
+	if !s.cfg.RouteScan || s.cfg.CrossCheckRouting {
+		s.enableIndex()
+	}
+	s.collector.KeepRecords = true
+	s.runChunk(arrivals, 0, true)
+	s.foldFanoutLog()
 	return &s.collector, nil
 }
 
-// ReplayGroups reports how many node groups Run replays on parallel workers
-// (0 when a coupling keeps it on the serial path).
+// ReplayGroups reports how many node groups Run and RunStream replay on
+// parallel workers (0 when a coupling keeps them on the serial path).
 func (s *Simulator) ReplayGroups() int {
-	groups, _ := s.replayGroups(false)
-	return groups
-}
-
-// StreamGroups reports how many node groups RunStream replays on parallel
-// workers (0 when a coupling keeps it on the serial path).
-func (s *Simulator) StreamGroups() int {
-	groups, _ := s.replayGroups(true)
+	groups, _ := s.replayGroups()
 	return groups
 }
 

@@ -1,7 +1,9 @@
 package simulate_test
 
 import (
+	"cmp"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -42,7 +44,7 @@ func fanoutConfig(fc fanout.Config) simulate.Config {
 func runFanout(t *testing.T, cfg simulate.Config, fns []*simulate.Function, tr *workload.Trace) (*metrics.Collector, *simulate.Simulator) {
 	t.Helper()
 	sim := simulate.New(cfg, fns)
-	col, err := sim.Run(tr)
+	col, err := recording(sim).Run(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,6 +232,96 @@ func TestFanoutEveryDonationCrashesDonor(t *testing.T) {
 	}
 }
 
+// fanoutBurstBeside is the small burst fixture (six burst requests, a
+// six-recipient tree) plus a second function, other, placed on nodes and
+// invoked at times: the second function's arrivals draw the faults that reach
+// the tree's nodes.
+func fanoutBurstBeside(t *testing.T, other string, nodes []int, at []time.Duration) (simulate.Config, []*simulate.Function, *workload.Trace) {
+	t.Helper()
+	fns, tr := fanoutBurst(t, 6)
+	fns = append(fns, testFunctions(t, other)...)
+	reqs := slices.Clone(tr.Requests)
+	for _, a := range at {
+		reqs = append(reqs, workload.Request{Function: other, At: a})
+	}
+	slices.SortStableFunc(reqs, func(a, b workload.Request) int { return cmp.Compare(a.At, b.At) })
+	cfg := fanoutConfig(fanout.Config{Threshold: 2, MaxRecipients: 6})
+	cfg.Placement[other] = nodes
+	return cfg, fns, &workload.Trace{Duration: tr.Duration, Requests: reqs}
+}
+
+// TestFanoutOutageRebuildsLostRecipient takes down recipient nodes while the
+// tree builds: resnet50 is placed on the three nodes the replicas go to, and
+// its arrivals every 100 ms draw the outages. A recipient whose container
+// dies with its node must be given up (Tree.RecipientLost) so the tree builds
+// a replacement; otherwise it waits forever for a child that never completes.
+func TestFanoutOutageRebuildsLostRecipient(t *testing.T) {
+	var at []time.Duration
+	for i := 1; i <= 10; i++ {
+		at = append(at, 5*time.Minute+time.Duration(i)*100*time.Millisecond)
+	}
+	cfg, fns, tr := fanoutBurstBeside(t, "resnet50-imagenet", []int{1, 2, 3}, at)
+	cfg.Seed = 4
+	cfg.Faults = faults.Rates{Outage: 0.1}
+	col, _ := runFanout(t, cfg, fns, tr)
+
+	fs := col.Fanout
+	if col.Faults.Outages == 0 {
+		t.Fatalf("no outage fired: %+v", col.Faults)
+	}
+	if fs.Trees != 1 || fs.TreesCompleted != 1 {
+		t.Fatalf("the tree did not reach its target after losing recipients: %+v", fs)
+	}
+	if fs.Recipients <= 6 {
+		t.Fatalf("%d recipients built for a target of 6: no lost recipient was replaced (%+v)", fs.Recipients, fs)
+	}
+	// The replacements wait for the outage to end before they can warm.
+	if fs.TimeToWarm < cfg.OutageDuration {
+		t.Errorf("time to warm %v is shorter than the outage; no recipient was lost to it", fs.TimeToWarm)
+	}
+	if col.Len()+col.Faults.Dropped != tr.Len() {
+		t.Fatalf("served %d + dropped %d != %d arrivals", col.Len(), col.Faults.Dropped, tr.Len())
+	}
+}
+
+// TestFanoutDegradedDonationHitsWaveDeadline degrades the donor node's
+// transform bandwidth: resnet50, warm on node 0, is transformed there into
+// the burst's function, which opens a bandwidth window (rate 1). Every
+// donation from node 0 then takes BandwidthFactor (3)× its weights time,
+// past the watchdog's wave deadline (2×), so the watchdog cancels each child
+// up front and the tree warms its target by from-scratch fallbacks.
+func TestFanoutDegradedDonationHitsWaveDeadline(t *testing.T) {
+	cfg, fns, tr := fanoutBurstBeside(t, "resnet50-imagenet", []int{0}, []time.Duration{0})
+	tr.Requests = tr.Requests[1:] // no resnet18 warm-up: its first burst request transforms
+	cfg.Faults = faults.Rates{Bandwidth: 1}
+	cfg.WatchdogFactor = 2
+	col, sim := runFanout(t, cfg, fns, tr)
+
+	fs := col.Fanout
+	if col.Faults.BandwidthWindows == 0 {
+		t.Fatalf("no bandwidth window opened: %+v", col.Faults)
+	}
+	if fs.WaveCancels != 6 || fs.LoadFallbacks != 6 {
+		t.Fatalf("want all 6 donations cancelled at the wave deadline and loaded from scratch: %+v", fs)
+	}
+	if wd := sim.Watchdog().Stats(); wd.WaveCancels != fs.WaveCancels {
+		t.Fatalf("watchdog tallied %d wave cancels, the tree %d", wd.WaveCancels, fs.WaveCancels)
+	}
+	if fs.TreesCompleted != 1 || fs.Recipients != 6 {
+		t.Fatalf("the tree did not reach its target through fallbacks: %+v", fs)
+	}
+	if col.Len() != tr.Len() {
+		t.Fatalf("served %d of %d", col.Len(), tr.Len())
+	}
+
+	// Without a watchdog the same slow donations run to completion.
+	cfg.WatchdogFactor = 0
+	col, _ = runFanout(t, cfg, fns, tr)
+	if fs := col.Fanout; fs.WaveCancels != 0 || fs.LoadFallbacks != 0 || fs.TreesCompleted != 1 {
+		t.Fatalf("without a watchdog: %+v, want no cancels and a completed tree", fs)
+	}
+}
+
 func TestFanoutRunsAreDeterministic(t *testing.T) {
 	fns, tr := fanoutBurst(t, 40)
 	run := func() ([]metrics.Record, metrics.FanoutStats, metrics.FaultStats) {
@@ -285,7 +377,7 @@ func TestHedgedStartExposedToLoadFaults(t *testing.T) {
 		Faults: faults.Rates{Hang: 0.4, Load: 1},
 		Hedge:  supervisor.HedgeConfig{Percentile: 90, MinSamples: 2},
 	}, fns)
-	col, err := sim.Run(tr)
+	col, err := recording(sim).Run(tr)
 	if err != nil {
 		t.Fatal(err)
 	}

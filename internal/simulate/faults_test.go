@@ -25,7 +25,7 @@ func TestZeroRatesLeaveNoFaultTraces(t *testing.T) {
 	sim := simulate.New(simulate.Config{
 		Policy: policy.Optimus{}, Nodes: 1, ContainersPerNode: 2,
 	}, fns)
-	col, err := sim.Run(tr)
+	col, err := recording(sim).Run(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestCrashRetriesBoundedAndRecorded(t *testing.T) {
 		Policy: policy.Optimus{}, Nodes: 2, ContainersPerNode: 2,
 		Faults: faults.Rates{Crash: 0.2},
 	}, fns)
-	col, err := sim.Run(tr)
+	col, err := recording(sim).Run(tr)
 	if err != nil {
 		t.Fatal(err)
 	}

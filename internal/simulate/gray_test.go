@@ -213,7 +213,7 @@ func TestGrayRunsAreDeterministic(t *testing.T) {
 			Retry:  supervisor.BackoffConfig{Base: 25 * time.Millisecond},
 			Hedge:  supervisor.HedgeConfig{Percentile: 95, MinSamples: 5},
 		}, fns)
-		col, err := sim.Run(tr)
+		col, err := recording(sim).Run(tr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -244,7 +244,7 @@ func TestZeroGrayConfigMatchesSeedBehavior(t *testing.T) {
 	fns, tr := chaosTrace(t)
 	run := func(cfg simulate.Config) []metrics.Record {
 		sim := simulate.New(cfg, fns)
-		col, err := sim.Run(tr)
+		col, err := recording(sim).Run(tr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -376,7 +376,7 @@ func TestAllUnroutableWaitsOnlyWhenAllDown(t *testing.T) {
 		done := make(chan result, 1)
 		sim := simulate.New(cfg, fns)
 		go func() {
-			col, err := sim.Run(tr)
+			col, err := recording(sim).Run(tr)
 			done <- result{col, err}
 		}()
 		select {

@@ -199,9 +199,9 @@ func (ix *nodeIndex) ordOf(fn *Function) int32 {
 
 // ensure grows the counter slices to cover ordinal `ord`.
 func (ix *nodeIndex) ensure(ord int32) {
-	for int(ord) >= len(ix.warm) {
-		ix.warm = append(ix.warm, 0)
-		ix.mature = append(ix.mature, 0)
+	if n := int(ord) + 1 - len(ix.warm); n > 0 {
+		ix.warm = append(ix.warm, make([]int32, n)...)
+		ix.mature = append(ix.mature, make([]int32, n)...)
 	}
 }
 

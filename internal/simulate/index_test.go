@@ -106,7 +106,7 @@ func TestIndexedMatchesScanEndToEnd(t *testing.T) {
 			RouteScan: scan,
 			Faults:    faults.Rates{Transform: 0.05, Crash: 0.02},
 		}, fns)
-		col, err := sim.Run(tr)
+		col, err := recording(sim).Run(tr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,7 +142,7 @@ func TestUnsortedTraceMatchesHeapOrder(t *testing.T) {
 		},
 	}
 	sim := simulate.New(simulate.Config{Policy: policy.Optimus{}, CrossCheckRouting: true}, fns)
-	col, err := sim.Run(tr)
+	col, err := recording(sim).Run(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func FuzzRouteCrossCheck(f *testing.F) {
 			cfg.Health = healthConfig()
 			cfg.Faults = faults.Rates{Crash: 0.3, Outage: 0.02}
 		}
-		col, err := simulate.New(cfg, fns).Run(tr)
+		col, err := recording(simulate.New(cfg, fns)).Run(tr)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -47,7 +47,7 @@ func TestHomogeneousMemoryBoundsContainers(t *testing.T) {
 		NodeMemoryMB:      3000,
 		ContainerMemoryMB: 1500,
 	}, fns)
-	col, err := sim.Run(tr)
+	col, err := recording(sim).Run(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestFineGrainedResizeOnTransform(t *testing.T) {
 		ContainersPerNode: 1,
 		NodeMemoryMB:      4000,
 	}, fns)
-	col, err := sim.Run(tr)
+	col, err := recording(sim).Run(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestDonorMustFitDestination(t *testing.T) {
 		ContainersPerNode: 4,
 		NodeMemoryMB:      8000,
 	}, fns)
-	col, err := sim.Run(tr)
+	col, err := recording(sim).Run(tr)
 	if err != nil {
 		t.Fatal(err)
 	}

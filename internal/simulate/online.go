@@ -30,7 +30,10 @@ type Online struct {
 
 // NewOnline builds an online server over the given functions.
 func NewOnline(cfg Config, fns []*Function) *Online {
-	return &Online{sim: New(cfg, fns)}
+	o := &Online{sim: New(cfg, fns)}
+	// Checkpoints persist the records; RestoreFrom rebuilds from them.
+	o.sim.collector.KeepRecords = true
+	return o
 }
 
 // AddFunction registers a new function at runtime. Registering a name twice

@@ -146,7 +146,7 @@ func TestOnlineAgreesWithReplay(t *testing.T) {
 	tr := onlineTrace()
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			col, err := simulate.New(tc.cfg, testFunctions(t, indexTestNames...)).Run(tr)
+			col, err := recording(simulate.New(tc.cfg, testFunctions(t, indexTestNames...))).Run(tr)
 			if err != nil {
 				t.Fatal(err)
 			}

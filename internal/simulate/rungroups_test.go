@@ -134,7 +134,7 @@ func TestRunGroupsMatchSerial(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			fx := tc.fx
-			par := simulate.New(fx.cfg, fx.fns)
+			par := recording(simulate.New(fx.cfg, fx.fns))
 			ser := simulate.New(fx.cfg, fx.fns)
 			const stream = -1
 			for round, procs := range []int{4, 1, 0, 4, stream} { // 0: serial on both
@@ -224,7 +224,7 @@ func streamRound(t *testing.T, fx groupFixture, ties bool, par, ser *simulate.Si
 		t.Fatal("no chunk boundary falls between two arrivals at one instant: the boundary rule goes untested")
 	}
 	runtime.GOMAXPROCS(4)
-	if g := par.StreamGroups(); g != fx.groups {
+	if g := par.ReplayGroups(); g != fx.groups {
 		t.Fatalf("RunStream replays %d groups, want %d", g, fx.groups)
 	}
 	from := ser.Collector().Len()
@@ -287,7 +287,7 @@ func TestRunGroupsIgnoresGOMAXPROCS(t *testing.T) {
 	var first []metrics.Record
 	for _, procs := range []int{1, 2, 8} {
 		setProcs(t, procs)
-		col, err := simulate.New(fx.cfg, fx.fns).Run(fx.trace)
+		col, err := recording(simulate.New(fx.cfg, fx.fns)).Run(fx.trace)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -317,7 +317,7 @@ func TestRunGroupsSerialPath(t *testing.T) {
 			fx := hashAzureFixture(policy.Optimus{})
 			tc.mut(&fx.cfg)
 			par := simulate.New(fx.cfg, fx.fns)
-			got, err := par.Run(fx.trace)
+			got, err := recording(par).Run(fx.trace)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -335,14 +335,14 @@ func TestRunGroupsSerialPath(t *testing.T) {
 	}
 }
 
-// TestWindowedSerialFallbacks checks that every coupling windowSerialReason
+// TestWindowedSerialFallbacks checks that every coupling groupSerialReason
 // names, a bounded plan cache and a one-node cluster keep RunStream on the
 // serial loop, on a placement that otherwise streams as several groups, and
 // that the chunked serial stream still equals the serial loop.
 func TestWindowedSerialFallbacks(t *testing.T) {
 	setProcs(t, 4)
 	base := hashAzureFixture(policy.Optimus{})
-	if g := simulate.New(base.cfg, base.fns).StreamGroups(); g < 2 {
+	if g := simulate.New(base.cfg, base.fns).ReplayGroups(); g < 2 {
 		t.Fatalf("the fixture streams as %d groups; the fallbacks go untested", g)
 	}
 	for _, tc := range []struct {
@@ -361,7 +361,7 @@ func TestWindowedSerialFallbacks(t *testing.T) {
 			tc.mut(&fx.cfg)
 			chunkFor(t, fx.trace)
 			sim := simulate.New(fx.cfg, fx.fns)
-			if g := sim.StreamGroups(); g > 1 {
+			if g := sim.ReplayGroups(); g > 1 {
 				t.Fatalf("RunStream replays %d groups, want the serial path", g)
 			}
 			got, err := sim.RunStream(fx.trace.Cursor())
@@ -372,7 +372,7 @@ func TestWindowedSerialFallbacks(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := metrics.SummaryOf(col); *got != *want {
+			if want := &col.Summary; *got != *want {
 				t.Fatal("serial stream summary != serial loop summary")
 			}
 			if got.Count() == 0 {

@@ -92,7 +92,7 @@ func TestRunStreamMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := *metrics.SummaryOf(col); *sum != want {
+	if want := col.Summary; *sum != want {
 		t.Fatalf("streamed summary != collector summary:\nstream count=%d mean=%v p99=%v\nrun    count=%d mean=%v p99=%v",
 			sum.Count(), sum.MeanLatency(), sum.Percentile(99),
 			want.Count(), want.MeanLatency(), want.Percentile(99))
@@ -160,12 +160,12 @@ func serialSummary(t *testing.T, cfg simulate.Config, fns []*simulate.Function, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	return metrics.SummaryOf(col), sim
+	return &col.Summary, sim
 }
 
 // TestWindowedMatchesSerial replays a placement whose bridge function joins
 // both node groups into one: RunStream keeps it on one goroutine and replays
-// it window by window, one runWindow per chunk, holding back the events at
+// it chunk by chunk, one runChunk per chunk, holding back the events at
 // or past each chunk's limit. The summary must equal the serial loop's over
 // the whole trace under every planner algorithm.
 func TestWindowedMatchesSerial(t *testing.T) {
@@ -183,7 +183,7 @@ func TestWindowedMatchesSerial(t *testing.T) {
 			cfg.PlannerAlgo = algo
 			want, _ := serialSummary(t, cfg, fns, tr)
 			sim := simulate.New(cfg, fns)
-			if g := sim.StreamGroups(); g != 1 {
+			if g := sim.ReplayGroups(); g != 1 {
 				t.Fatalf("the bridged placement streams as %d groups, want 1", g)
 			}
 			got, err := sim.RunStream(tr.Cursor())
@@ -219,7 +219,7 @@ func TestShardDeterminism(t *testing.T) {
 			cfg.PlannerAlgo = algo
 			want, _ := serialSummary(t, cfg, fns, tr)
 			sim := simulate.New(cfg, fns)
-			if g := sim.StreamGroups(); g != 2 {
+			if g := sim.ReplayGroups(); g != 2 {
 				t.Fatalf("RunStream replays %d groups, want 2", g)
 			}
 			got, err := sim.RunStream(tr.Cursor())
@@ -272,7 +272,7 @@ func TestWindowedVerifyTransforms(t *testing.T) {
 	chunkFor(t, tr)
 	want, ser := serialSummary(t, cfg, fns, tr)
 	sim := simulate.New(cfg, fns)
-	if g := sim.StreamGroups(); g != 2 {
+	if g := sim.ReplayGroups(); g != 2 {
 		t.Fatalf("RunStream replays %d groups, want 2", g)
 	}
 	got, err := sim.RunStream(tr.Cursor())
@@ -368,7 +368,7 @@ func TestRunStreamBoundaryTies(t *testing.T) {
 				}
 				if *got != *want {
 					t.Fatalf("%d groups, seed %d, chunk %d: stream != serial (count %d vs %d, mean %v vs %v)",
-						simulate.New(cfg, fns).StreamGroups(), seed, chunk, got.Count(), want.Count(), got.MeanLatency(), want.MeanLatency())
+						simulate.New(cfg, fns).ReplayGroups(), seed, chunk, got.Count(), want.Count(), got.MeanLatency(), want.MeanLatency())
 				}
 			}
 		}

@@ -268,7 +268,7 @@ func TestSupervisorZeroRatesUnchanged(t *testing.T) {
 		cfg.Policy = policy.Optimus{}
 		cfg.Nodes = 2
 		cfg.ContainersPerNode = 2
-		col, err := simulate.New(cfg, fns).Run(tr)
+		col, err := recording(simulate.New(cfg, fns)).Run(tr)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -85,7 +85,7 @@ func (b *Backoff) Delay(attempt int) time.Duration {
 	if capf := float64(b.cfg.Cap); d > capf {
 		d = capf
 	}
-	d *= 1 + b.cfg.Jitter*(2*b.rng.Float64()-1)
+	d *= 1 + float64(b.cfg.Jitter*(2*float64(b.rng.Float64())-1))
 	if d < 0 {
 		d = 0
 	}

@@ -44,11 +44,11 @@ func poissonArrivals(ratePerSec float64, duration time.Duration, rng *rand.Rand)
 // office and overnight-batch workloads in the Azure characterization.
 // Thinning keeps the process exact.
 func diurnalArrivals(duration time.Duration, rng *rand.Rand) arrivalGen {
-	peak := 0.005 + 0.015*rng.Float64()
+	peak := 0.005 + float64(0.015*rng.Float64())
 	phase := rng.Float64() * 24 * float64(time.Hour)
 	rate := func(at time.Duration) float64 {
 		x := (float64(at) + phase) / float64(24*time.Hour) * 2 * math.Pi
-		return peak * (0.6 + 0.4*math.Sin(x))
+		return peak * (0.6 + float64(0.4*math.Sin(x)))
 	}
 	at := time.Duration(0)
 	done := false
@@ -72,7 +72,7 @@ func diurnalArrivals(duration time.Duration, rng *rand.Rand) arrivalGen {
 // burstyArrivals yields alternating on/off phases with high-rate Poisson
 // arrivals while on. Each phase draws onLen, then offLen, then its gaps.
 func burstyArrivals(duration time.Duration, rng *rand.Rand) arrivalGen {
-	rate := 0.02 + 0.06*rng.Float64()
+	rate := 0.02 + float64(0.06*rng.Float64())
 	at := time.Duration(0)  // next phase start
 	cur := time.Duration(0) // cursor inside the current on-phase
 	end := time.Duration(0) // current on-phase end
@@ -88,8 +88,8 @@ func burstyArrivals(duration time.Duration, rng *rand.Rand) arrivalGen {
 					done = true
 					return 0, false
 				}
-				onLen := time.Duration((2 + 8*rng.Float64()) * float64(time.Minute))
-				offLen := time.Duration((10 + 35*rng.Float64()) * float64(time.Minute))
+				onLen := time.Duration((2 + float64(8*rng.Float64())) * float64(time.Minute))
+				offLen := time.Duration((10 + float64(35*rng.Float64())) * float64(time.Minute))
 				end = at + onLen
 				if end > duration {
 					end = duration
@@ -120,7 +120,7 @@ func periodicArrivals(duration time.Duration, rng *rand.Rand) arrivalGen {
 			return 0, false
 		}
 		cur := at
-		jitter := 1 + 0.2*(rng.Float64()-0.5)
+		jitter := 1 + float64(0.2*(float64(rng.Float64())-0.5))
 		at += time.Duration(float64(period) * jitter)
 		return cur, true
 	}
@@ -128,7 +128,7 @@ func periodicArrivals(duration time.Duration, rng *rand.Rand) arrivalGen {
 
 // rareArrivals yields sparse Poisson arrivals (mean one per 30-120 minutes).
 func rareArrivals(duration time.Duration, rng *rand.Rand) arrivalGen {
-	mean := time.Duration((30 + 90*rng.Float64()) * float64(time.Minute))
+	mean := time.Duration((30 + float64(90*rng.Float64())) * float64(time.Minute))
 	at := time.Duration(0)
 	done := false
 	return func() (time.Duration, bool) {

@@ -17,7 +17,7 @@ func EfficientNet(variant int, classes int, scope string) *model.Graph {
 	widthMult := math.Pow(1.1, float64(variant))
 	depthMult := math.Pow(1.2, float64(variant))
 	round := func(w int) int {
-		return scaleWidth(int(float64(w)*widthMult+0.5), 1)
+		return scaleWidth(int(float64(float64(w)*widthMult)+0.5), 1)
 	}
 	repeats := func(n int) int {
 		return int(math.Ceil(float64(n) * depthMult))

@@ -390,6 +390,7 @@ func (s *System) Run(trace *Trace) (*Report, error) {
 		return nil, err
 	}
 	sim := simulate.New(cfg, s.fns)
+	sim.Collector().KeepRecords = true // for Report.PerFunction
 	col, err := sim.Run(trace)
 	if err != nil {
 		return nil, err

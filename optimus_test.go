@@ -5,8 +5,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/metrics"
 )
 
 func TestTransformerRoundTrip(t *testing.T) {
@@ -167,7 +165,7 @@ func TestSystemRunStreamMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := metrics.SummaryOf(rep.Collector); *srep.Metrics != *want {
+	if want := &rep.Collector.Summary; *srep.Metrics != *want {
 		t.Fatalf("stream summary != Run summary: %s vs %d requests, mean %v",
 			srep.Summary(), want.Count(), want.MeanLatency())
 	}
