@@ -65,8 +65,8 @@ bench-soak:
 bench-recovery:
 	$(GO) run ./cmd/optimus-bench recovery
 
-# bench-fanout runs the burst fan-out-tree experiment (pipelined waves vs
-# independent transforms, zero-fault and donor-crash pairs) and leaves
+# bench-fanout runs the burst fan-out experiment (fan-out off, one wave of
+# seed donations, and the same under seed crashes) and leaves
 # BENCH_fanout.json in the repo root.
 bench-fanout:
 	$(GO) run ./cmd/optimus-bench fanout
@@ -114,9 +114,9 @@ recoveryguard:
 	$(GO) test -run 'TestRecoveryArtifact' ./internal/experiments
 
 # fanoutguard validates the checked-in BENCH_fanout.json against the fan-out
-# acceptance gate (time-to-16-warm below the independent baseline,
-# re-parenting under donor crashes with goodput held, double-run
-# byte-identity) and replays the burst experiment as a smoke.
+# acceptance gate (mean latency below fan-out off with and without seed
+# crashes, re-parenting and 16 warm replicas under seed crashes with goodput
+# held, double-run byte-identity) and replays the burst experiment as a smoke.
 fanoutguard:
 	$(GO) test -run 'TestFanout' ./internal/experiments
 

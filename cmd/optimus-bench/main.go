@@ -68,7 +68,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "ablations:   ablation-planner ablation-safeguard ablation-cache ablation-balancer ablation-idle ablation-online ablation-alloc sweep-nodes sweep-load chaos recovery")
 		fmt.Fprintln(os.Stderr, "baselines:   scale (replays one trace scan/indexed, -stream adds streaming; emits BENCH_sim_scale.json into -out)")
 		fmt.Fprintln(os.Stderr, "             soak (chaos soak, baseline vs resilient; emits BENCH_soak.json into -out)")
-		fmt.Fprintln(os.Stderr, "             fanout (burst fan-out trees vs independent transforms; emits BENCH_fanout.json into -out)")
+		fmt.Fprintln(os.Stderr, "             fanout (burst fan-out vs fan-out off, with and without seed crashes; emits BENCH_fanout.json into -out)")
 		fmt.Fprintln(os.Stderr, "             gateway (multi-gateway scaling + shared-vs-isolated plan cache; emits BENCH_gateway.json into -out)")
 		fmt.Fprintln(os.Stderr, "             recovery also emits BENCH_recovery.json into -out")
 		os.Exit(2)

@@ -135,9 +135,9 @@ func RegisterFaultFlags(fs *flag.FlagSet, checkpoint bool) *FaultFlags {
 		Flaky:     fs.Float64("fault-flaky", 0, "probability a transform donor turns flaky for a window (intermittent aborts)"),
 		Bandwidth: fs.Float64("fault-bandwidth", 0, "probability a node's transform bandwidth degrades for a window"),
 		FanoutCrash: fs.Float64("fault-fanout-crash", 0,
-			"probability a fan-out donor crashes mid-donation (orphans re-parent)"),
+			"probability a fan-out seed crashes mid-donation (orphans move to another seed)"),
 		Corrupt: fs.Float64("fault-corrupt", 0,
-			"probability a fan-out donation emits a corrupt model (descendants quarantine)"),
+			"probability a fan-out donation emits a corrupt model (the replica is quarantined and rebuilt)"),
 	}
 	if checkpoint {
 		f.Checkpoint = fs.Float64("fault-checkpoint", 0, "probability a checkpoint write fails (previous snapshot kept)")
@@ -253,25 +253,22 @@ func (r *ResilienceFlags) HedgeConfig() supervisor.HedgeConfig {
 	return supervisor.HedgeConfig{Percentile: *r.HedgePct}
 }
 
-// FanoutFlags bundles the fan-out transform tree flags the binaries share
+// FanoutFlags bundles the fan-out flags the binaries share
 // (one registration + validation path, like FaultFlags).
 type FanoutFlags struct {
-	Enabled     *bool
-	Bandwidth   *int
-	Threshold   *int
-	Max         *int
-	Independent *bool
+	Enabled   *bool
+	Bandwidth *int
+	Threshold *int
+	Max       *int
 }
 
 // RegisterFanoutFlags installs the shared -fanout* flags on fs.
 func RegisterFanoutFlags(fs *flag.FlagSet) *FanoutFlags {
 	return &FanoutFlags{
-		Enabled:   fs.Bool("fanout", false, "enable fault-tolerant fan-out transform trees for burst absorption"),
+		Enabled:   fs.Bool("fanout", false, "enable fan-out: absorb a burst with one wave of replicas streamed from the warm seeds"),
 		Bandwidth: fs.Int("fanout-bandwidth", 0, "concurrent outbound donation streams per node (default 2)"),
-		Threshold: fs.Int("fanout-threshold", 0, "per-node queue depth that triggers a tree (default 4)"),
-		Max:       fs.Int("fanout-max", 0, "cap on replicas one tree builds (default 16)"),
-		Independent: fs.Bool("fanout-independent", false,
-			"baseline schedule: only original seeds donate (no wave pipelining)"),
+		Threshold: fs.Int("fanout-threshold", 0, "per-node queue depth that triggers a fan-out (default 4)"),
+		Max:       fs.Int("fanout-max", 0, "cap on replicas one fan-out builds (default 16)"),
 	}
 }
 
@@ -295,15 +292,14 @@ func (f *FanoutFlags) Validate() error {
 	return fmt.Errorf("invalid fanout flags: %s", strings.Join(bad, ", "))
 }
 
-// Config resolves the parsed flags into the fan-out tree configuration; zero
+// Config resolves the parsed flags into the fan-out configuration; zero
 // values keep the package defaults.
 func (f *FanoutFlags) Config() fanout.Config {
 	return fanout.Config{
-		Enabled:       *f.Enabled || *f.Independent,
+		Enabled:       *f.Enabled,
 		Bandwidth:     *f.Bandwidth,
 		Threshold:     *f.Threshold,
 		MaxRecipients: *f.Max,
-		Independent:   *f.Independent,
 	}
 }
 

@@ -22,23 +22,21 @@ import (
 const BenchFanoutFile = "BENCH_fanout.json"
 
 // Fanout experiment: a placement-pinned function absorbs a request burst by
-// growing a transform fan-out tree into the cluster's free capacity. Four
-// fixed-seed runs over the same trace:
+// streaming one wave of replicas from its warm seeds into the cluster's free
+// capacity. Three fixed-seed runs over the same trace:
 //
-//   - tree / independent: zero faults. The tree pipelines donations — every
-//     completed replica becomes a donor for the next wave — while the
-//     independent baseline only lets the original seeds donate, modeling N
-//     independent transforms under the same per-node bandwidth cap. Both end
-//     at the same warm set; time-to-N-warm is the contrast.
-//   - tree-crash / independent-crash: the same pair under donor-crash
-//     injection. Orphaned subtrees re-parent onto the nearest healthy
-//     ancestor, so the tree still reaches target warmth and its goodput must
-//     not fall below the baseline's.
+//   - off: fan-out disabled, so the burst drains through the pinned node.
+//   - fanout: zero faults; only the seeds donate, under the per-node
+//     bandwidth cap, with each recipient's structure load pipelined ahead of
+//     its weights stream.
+//   - fanout-crash: the same under seed-crash injection. Orphaned children
+//     move to another seed or fall back to a from-scratch load, so fan-out
+//     still reaches target warmth and its goodput must not fall below off's.
 //
-// A second same-seed tree-crash run proves byte-identical determinism.
+// A second same-seed fanout-crash run proves byte-identical determinism.
 
-// FanoutTargetWarm is N in time-to-N-warm: the replica count every run must
-// reach. The acceptance gate requires N >= 16.
+// FanoutTargetWarm is N in time-to-N-warm: the replica count every fan-out
+// run must reach. The acceptance gate requires N >= 16.
 const FanoutTargetWarm = 16
 
 // FanoutRun is one configuration's measurements over the burst trace.
@@ -51,26 +49,25 @@ type FanoutRun struct {
 	Goodput float64 `json:"goodput"`
 	MeanMS  float64 `json:"mean_ms"`
 	P99MS   float64 `json:"p99_ms"`
-	// TimeToWarmMS is the trigger-to-N-warm latency of the run's tree.
+	// TimeToWarmMS is the trigger-to-N-warm latency of the run's fan-out.
 	TimeToWarmMS float64             `json:"time_to_warm_ms"`
 	Stats        metrics.FanoutStats `json:"stats"`
 	Faults       metrics.FaultStats  `json:"faults"`
 }
 
-// FanoutResult is the persisted artifact: the zero-fault and donor-crash
-// pairs plus the determinism proof.
+// FanoutResult is the persisted artifact: the three runs plus the
+// determinism proof.
 type FanoutResult struct {
 	Seed       int64        `json:"seed"`
 	TargetWarm int          `json:"target_warm"`
 	Rates      faults.Rates `json:"crash_rates"`
 
-	Tree             FanoutRun `json:"tree"`
-	Independent      FanoutRun `json:"independent"`
-	TreeCrash        FanoutRun `json:"tree_crash"`
-	IndependentCrash FanoutRun `json:"independent_crash"`
+	Off         FanoutRun `json:"off"`
+	Fanout      FanoutRun `json:"fanout"`
+	FanoutCrash FanoutRun `json:"fanout_crash"`
 
-	// Deterministic records that a second same-seed tree-crash run produced
-	// byte-identical measurements.
+	// Deterministic records that a second same-seed fanout-crash run
+	// produced byte-identical measurements.
 	Deterministic bool `json:"deterministic"`
 }
 
@@ -87,20 +84,25 @@ func fanoutTrace(burst int) *workload.Trace {
 	return &workload.Trace{Duration: at + 2*time.Hour, Requests: reqs}
 }
 
-// fanoutCrashRates is the donor-crash injection mix of the crash pair.
+// fanoutCrashRates is the seed-crash injection mix of the crash run.
 func fanoutCrashRates() faults.Rates {
 	return faults.Rates{FanoutCrash: 0.3}
 }
 
-// fanoutExpConfig builds one mode's simulator config: the function pinned to
-// node 0, nine more nodes holding the free capacity the tree grows into.
-func fanoutExpConfig(o Options, fc fanout.Config, independent bool, rates faults.Rates) simulate.Config {
+// fanoutOn resolves the experiment's fan-out config: fc with the package
+// defaults, enabled, and room for at least FanoutTargetWarm replicas.
+func fanoutOn(fc fanout.Config) fanout.Config {
 	fc = fc.WithDefaults()
 	fc.Enabled = true
-	fc.Independent = independent
 	if fc.MaxRecipients < FanoutTargetWarm {
 		fc.MaxRecipients = FanoutTargetWarm
 	}
+	return fc
+}
+
+// fanoutExpConfig builds one run's simulator config: the function pinned to
+// node 0, nine more nodes holding the free capacity fan-out grows into.
+func fanoutExpConfig(o Options, fc fanout.Config, rates faults.Rates) simulate.Config {
 	return simulate.Config{
 		Policy:            policy.Optimus{},
 		Nodes:             10,
@@ -110,16 +112,16 @@ func fanoutExpConfig(o Options, fc fanout.Config, independent bool, rates faults
 		Placement:         map[string][]int{"resnet18-imagenet": {0}},
 		Fanout:            fc,
 		Faults:            rates,
-		// Give the per-pair breaker enough budget that donor crashes exercise
-		// re-parenting instead of short-circuiting the whole tree to fallback
-		// loads on the first failure.
+		// Give the per-pair breaker enough budget that seed crashes exercise
+		// re-parenting instead of short-circuiting the whole fan-out to
+		// fallback loads on the first failure.
 		Breaker: supervisor.BreakerConfig{Threshold: 6, Cooldown: 10 * time.Minute},
 	}
 }
 
-// fanoutOnce replays the trace under one mode and folds the run.
-func fanoutOnce(o Options, fc fanout.Config, fns []*simulate.Function, tr *workload.Trace, mode string, independent bool, rates faults.Rates) FanoutRun {
-	sim := simulate.New(fanoutExpConfig(o, fc, independent, rates), fns)
+// fanoutOnce replays the trace under one config and folds the run.
+func fanoutOnce(o Options, fc fanout.Config, fns []*simulate.Function, tr *workload.Trace, mode string, rates faults.Rates) FanoutRun {
+	sim := simulate.New(fanoutExpConfig(o, fc, rates), fns)
 	col, err := sim.Run(tr)
 	if err != nil {
 		panic(err)
@@ -141,26 +143,26 @@ func fanoutOnce(o Options, fc fanout.Config, fns []*simulate.Function, tr *workl
 	return run
 }
 
-// Fanout runs the four-way burst comparison and double-runs the tree-crash
-// mode to prove determinism. A zero fc takes the experiment defaults
-// (bandwidth 2, threshold 4, 16 recipients).
+// Fanout runs the three-way burst comparison and double-runs the
+// fanout-crash mode to prove determinism. A zero fc takes the experiment
+// defaults (bandwidth 2, threshold 4, 16 recipients).
 func Fanout(o Options, fc fanout.Config) FanoutResult {
 	o = o.withDefaults()
 	fns := []*simulate.Function{{Name: "resnet18-imagenet", Model: imgZoo.MustGet("resnet18-imagenet")}}
 	tr := fanoutTrace(120)
 	rates := fanoutCrashRates()
+	on := fanoutOn(fc)
 
 	res := FanoutResult{
-		Seed:             o.Seed,
-		TargetWarm:       FanoutTargetWarm,
-		Rates:            rates,
-		Tree:             fanoutOnce(o, fc, fns, tr, "tree", false, faults.Rates{}),
-		Independent:      fanoutOnce(o, fc, fns, tr, "independent", true, faults.Rates{}),
-		TreeCrash:        fanoutOnce(o, fc, fns, tr, "tree-crash", false, rates),
-		IndependentCrash: fanoutOnce(o, fc, fns, tr, "independent-crash", true, rates),
+		Seed:        o.Seed,
+		TargetWarm:  FanoutTargetWarm,
+		Rates:       rates,
+		Off:         fanoutOnce(o, fanout.Config{}, fns, tr, "off", faults.Rates{}),
+		Fanout:      fanoutOnce(o, on, fns, tr, "fanout", faults.Rates{}),
+		FanoutCrash: fanoutOnce(o, on, fns, tr, "fanout-crash", rates),
 	}
-	rerun := fanoutOnce(o, fc, fns, tr, "tree-crash", false, rates)
-	a, err := json.Marshal(res.TreeCrash)
+	rerun := fanoutOnce(o, on, fns, tr, "fanout-crash", rates)
+	a, err := json.Marshal(res.FanoutCrash)
 	if err != nil {
 		panic(err)
 	}
@@ -188,10 +190,10 @@ func (r FanoutResult) WriteFile(dir string) error {
 	return nil
 }
 
-// Render prints the four-run digest.
+// Render prints the three-run digest.
 func (r FanoutResult) Render() string {
-	rows := make([][]string, 0, 4)
-	for _, p := range []FanoutRun{r.Tree, r.Independent, r.TreeCrash, r.IndependentCrash} {
+	rows := make([][]string, 0, 3)
+	for _, p := range []FanoutRun{r.Off, r.Fanout, r.FanoutCrash} {
 		rows = append(rows, []string{
 			p.Mode,
 			fmt.Sprint(p.Arrivals),
@@ -200,17 +202,16 @@ func (r FanoutResult) Render() string {
 			fmt.Sprintf("%.1f", p.MeanMS),
 			fmt.Sprintf("%.1f", p.TimeToWarmMS),
 			fmt.Sprint(p.Stats.Recipients),
-			fmt.Sprint(p.Stats.Waves),
 			fmt.Sprint(p.Stats.DonorCrashes),
 			fmt.Sprint(p.Stats.Reparents),
 			fmt.Sprint(p.Stats.LoadFallbacks),
 		})
 	}
-	det := "deterministic: second same-seed tree-crash run was byte-identical"
+	det := "deterministic: second same-seed fanout-crash run was byte-identical"
 	if !r.Deterministic {
 		det = "NONDETERMINISTIC: same-seed reruns diverged"
 	}
-	return fmt.Sprintf("Extension: fan-out transform trees (time-to-%d-warm, pipelined waves vs independent donation; crash pair under donor-crash injection)\n", r.TargetWarm) +
-		table([]string{"mode", "arrivals", "dropped", "goodput", "mean(ms)", "warm(ms)", "replicas", "waves", "crashes", "reparents", "fallbacks"}, rows) +
+	return fmt.Sprintf("Extension: fan-out (time-to-%d-warm from one wave of seed donations vs fan-out off; crash run under seed-crash injection)\n", r.TargetWarm) +
+		table([]string{"mode", "arrivals", "dropped", "goodput", "mean(ms)", "warm(ms)", "replicas", "crashes", "reparents", "fallbacks"}, rows) +
 		"\n" + det
 }

@@ -8,8 +8,8 @@ import (
 	"testing"
 )
 
-// TestDesignDocMatchesTransitions keeps the lineage-quarantine table in
-// DESIGN.md's "Transform fan-out trees" section in lockstep with
+// TestDesignDocMatchesTransitions keeps the member lifecycle table in
+// DESIGN.md's "Transform fan-out" section in lockstep with
 // Transitions(): adding, removing, or rewording a transition in one place
 // without the other fails here.
 func TestDesignDocMatchesTransitions(t *testing.T) {
@@ -17,7 +17,7 @@ func TestDesignDocMatchesTransitions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const header = "## Transform fan-out trees"
+	const header = "## Transform fan-out"
 	_, rest, found := strings.Cut(string(raw), header)
 	if !found {
 		t.Fatalf("DESIGN.md is missing the %q section", header)

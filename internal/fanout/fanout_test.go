@@ -51,20 +51,6 @@ func drive(t *testing.T, tr *Tree, nodes []int, corrupt map[int]bool, onTick fun
 		active = active[1:]
 		now += time.Second
 		res := tr.Complete(child, now, corrupt[child])
-		// Quarantined in-flight children lose their scheduled completions.
-		if len(res.Swept.Cancelled) > 0 {
-			drop := make(map[int]bool, len(res.Swept.Cancelled))
-			for _, id := range res.Swept.Cancelled {
-				drop[id] = true
-			}
-			kept := active[:0]
-			for _, id := range active {
-				if !drop[id] {
-					kept = append(kept, id)
-				}
-			}
-			active = kept
-		}
 		if res.TreeDone {
 			return now
 		}
@@ -86,9 +72,6 @@ func TestZeroFaultTreeCompletes(t *testing.T) {
 	}
 	if st.Reparents != 0 || st.Quarantined != 0 || st.LoadFallbacks != 0 || st.WaveCancels != 0 {
 		t.Fatalf("zero-fault run recorded resilience events: %+v", st)
-	}
-	if st.Waves < 2 {
-		t.Fatalf("tree mode should recurse across waves, got %d", st.Waves)
 	}
 	warm, perNode := 0, map[int]int{}
 	for _, m := range tr.Members() {
@@ -116,8 +99,11 @@ func TestZeroFaultTreeCompletes(t *testing.T) {
 	}
 }
 
-func TestIndependentModeOnlySeedsDonate(t *testing.T) {
-	tr := New(Config{Bandwidth: 2, MaxRecipients: 8, Independent: true}, "fn", 8, 0)
+// TestOnlySeedsDonate pins the one-wave schedule: a completed replica serves
+// but never donates, so every recipient streams from the seed even while
+// replicas on other nodes sit warm with free streams.
+func TestOnlySeedsDonate(t *testing.T) {
+	tr := New(Config{Bandwidth: 2, MaxRecipients: 8}, "fn", 8, 0)
 	seed := tr.AddSeed(0)
 	drive(t, tr, []int{0, 1}, nil, nil)
 	for _, m := range tr.Members() {
@@ -125,106 +111,104 @@ func TestIndependentModeOnlySeedsDonate(t *testing.T) {
 			continue
 		}
 		if m.Parent != seed {
-			t.Fatalf("independent mode let member %d stream from %d, want seed %d", m.ID, m.Parent, seed)
+			t.Fatalf("member %d streamed from %d, want seed %d", m.ID, m.Parent, seed)
 		}
-		if m.Wave != 1 {
-			t.Fatalf("independent children are all wave 1, member %d is wave %d", m.ID, m.Wave)
-		}
-	}
-	if st := tr.Stats(); st.Waves != 1 {
-		t.Fatalf("independent schedule reported %d waves", st.Waves)
 	}
 }
 
-func TestDonorCrashReparentsOntoAncestor(t *testing.T) {
-	tr := New(Config{Bandwidth: 1, MaxRecipients: 6}, "fn", 6, 0)
-	tr.AddSeed(0)
+// TestStrandedOnlyWhenNoSeedLives pins the stranded rule: parked children
+// wait while a seed lives, and once every seed is dead they are diverted even
+// though warm replicas remain — replicas never donate.
+func TestStrandedOnlyWhenNoSeedLives(t *testing.T) {
+	tr := New(Config{Bandwidth: 1, MaxRecipients: 3}, "fn", 3, 0)
+	seed := tr.AddSeed(0)
+	first, _, _ := tr.StartRecipient([]int{1})
+	if _, ok := tr.StructDone(first, nil); !ok {
+		t.Fatal("first child found no donor")
+	}
+	tr.Complete(first, time.Second, false)
+	second, _, _ := tr.StartRecipient([]int{1})
+	third, _, _ := tr.StartRecipient([]int{1})
+	if _, ok := tr.StructDone(second, nil); !ok {
+		t.Fatal("second child found no donor")
+	}
+	if _, ok := tr.StructDone(third, nil); ok {
+		t.Fatal("third child was handed a donor beyond the seed's bandwidth")
+	}
+	if got := tr.Stranded(nil); got != nil {
+		t.Fatalf("stranded %v while the seed lives", got)
+	}
+	rep := tr.DonorLost(seed, nil, true)
+	if len(rep) != 1 || rep[0].Child != second || rep[0].NewDonor != -1 {
+		t.Fatalf("the orphan should park with no seed left, got %+v", rep)
+	}
+	if got := tr.Stranded(nil); len(got) != 2 || got[0] != third || got[1] != second {
+		t.Fatalf("stranded %v with every seed dead, want [%d %d]", got, third, second)
+	}
+}
+
+// TestDonorCrashReparentsOntoOtherSeed kills a seed mid-wave: its orphans
+// move to the other seed while it has a free stream and park otherwise, and
+// the tree still completes.
+func TestDonorCrashReparentsOntoOtherSeed(t *testing.T) {
+	tr := New(Config{Bandwidth: 2, MaxRecipients: 3}, "fn", 3, 0)
+	dead := tr.AddSeed(0)
+	other := tr.AddSeed(1)
 	killed := false
 	drive(t, tr, []int{0, 1, 2}, nil, func(tick int) {
 		if killed {
 			return
 		}
-		// Kill the first non-seed donor that is actively streaming.
-		for _, m := range tr.Members() {
-			if !m.Seed && (m.State == StateWarm || m.State == StatePoisoned) && m.inflight > 0 {
-				rep := tr.DonorLost(m.ID, nil, true)
-				if len(rep) == 0 {
-					t.Fatalf("killed donor %d had no orphans", m.ID)
-				}
-				for _, r := range rep {
-					if r.NewDonor == m.ID {
-						t.Fatalf("orphan re-parented onto the dead donor")
-					}
-				}
-				killed = true
-				return
-			}
+		killed = true
+		rep := tr.DonorLost(dead, nil, true)
+		if len(rep) != 2 {
+			t.Fatalf("killed seed had %d orphans, want 2: %+v", len(rep), rep)
+		}
+		if rep[0].NewDonor != other || rep[1].NewDonor != -1 {
+			t.Fatalf("orphans = %+v, want the first on seed %d and the second parked", rep, other)
 		}
 	})
-	if !killed {
-		t.Fatal("no streaming donor ever observed")
-	}
 	st := tr.Stats()
-	if st.DonorCrashes != 1 || st.Reparents == 0 {
-		t.Fatalf("stats = %+v, want 1 donor crash with re-parents", st)
+	if st.DonorCrashes != 1 || st.Reparents != 2 {
+		t.Fatalf("stats = %+v, want 1 donor crash with 2 re-parents", st)
 	}
 	if st.TreesCompleted != 1 {
 		t.Fatalf("tree should still complete after the crash: %+v", st)
 	}
+	for _, m := range tr.Members() {
+		if !m.Seed && m.Parent != other {
+			t.Fatalf("member %d finished on %d, want the surviving seed %d", m.ID, m.Parent, other)
+		}
+	}
 }
 
-func TestCorruptOutputQuarantinesSubtree(t *testing.T) {
+// TestCorruptOutputQuarantinesOnlyThatMember corrupts the first donation: the
+// edge-balance check quarantines that replica at completion, a replacement
+// is rebuilt, and no other member is touched.
+func TestCorruptOutputQuarantinesOnlyThatMember(t *testing.T) {
 	tr := New(Config{Bandwidth: 2, MaxRecipients: 12}, "fn", 12, 0)
 	tr.AddSeed(0)
-	// Member 1 is the first recipient; poisoning it poisons whatever streams
-	// from it before the wave sweep catches the unbalanced ledger.
 	drive(t, tr, []int{0, 1, 2}, map[int]bool{1: true}, nil)
 
 	st := tr.Stats()
-	if st.CorruptOutputs != 1 {
-		t.Fatalf("corrupt outputs = %d, want 1", st.CorruptOutputs)
+	if st.CorruptOutputs != 1 || st.Quarantined != 1 {
+		t.Fatalf("stats = %+v, want 1 corrupt output, 1 quarantined", st)
 	}
-	if st.Quarantined == 0 {
-		t.Fatalf("the poisoned member was never quarantined: %+v", st)
+	if st.Recipients != 13 || st.TreesCompleted != 1 {
+		t.Fatalf("stats = %+v, want 13 recipients (one rebuilt) and a completed tree", st)
 	}
-	if st.Recipients <= 12 {
-		t.Fatalf("quarantined members must be rebuilt: %d recipients for want 12", st.Recipients)
-	}
-	members := tr.Members()
-	if members[1].State != StateQuarantined {
-		t.Fatalf("member 1 ended %s, want quarantined", members[1].State)
-	}
-	// Lineage check: every quarantined member descends from member 1, and
-	// every surviving warm replica has a clean ledger.
 	warm := 0
-	for _, m := range members {
-		if m.Seed {
-			continue
-		}
-		switch m.State {
-		case StateQuarantined:
-			root := m
-			for root.Parent >= 0 {
-				root = members[root.Parent]
+	for _, m := range tr.Members() {
+		switch {
+		case m.Seed:
+		case m.ID == 1:
+			if m.State != StateQuarantined {
+				t.Fatalf("corrupt member ended %s, want quarantined", m.State)
 			}
-			// Member 1's own parent chain ends at -1 via the seed lineage;
-			// a quarantined member either is member 1 or descends from it.
-			if m.ID != 1 {
-				anc := m
-				for anc.Parent >= 0 && anc.ID != 1 {
-					anc = members[anc.Parent]
-				}
-				if anc.ID != 1 {
-					t.Fatalf("member %d quarantined outside member 1's subtree", m.ID)
-				}
-			}
-		case StateWarm:
+		case m.State == StateWarm:
 			warm++
-			if m.poisonedLedger() {
-				t.Fatalf("member %d is warm with an unbalanced ledger", m.ID)
-			}
-		case StatePoisoned:
-			t.Fatalf("member %d survived poisoned — the final audit missed it", m.ID)
+		default:
+			t.Fatalf("member %d ended %s; only the corrupt one may be cut", m.ID, m.State)
 		}
 	}
 	if warm != 12 {
@@ -246,17 +230,18 @@ func TestToFallbackCutsLineageAndCounts(t *testing.T) {
 	if tr.Streams(0) != 1 {
 		t.Fatalf("streams = %d, want 1", tr.Streams(0))
 	}
-	tr.ToFallback(child, true) // wave-deadline cancel
+	tr.ToFallback(child, true) // watchdog-deadline cancel
 	if tr.Streams(0) != 0 {
 		t.Fatal("fallback must release the donation stream")
 	}
-	res := tr.Complete(child, time.Second, false)
-	if !res.Swept.Empty() {
-		t.Fatalf("fallback completion swept %+v", res.Swept)
+	// A from-scratch load streams nothing, so a corrupt draw cannot touch it.
+	res := tr.Complete(child, time.Second, true)
+	if !res.Completed || res.Quarantined || res.ViaDonation {
+		t.Fatalf("fallback completion = %+v, want completed, clean, not a donation", res)
 	}
 	st := tr.Stats()
-	if st.WaveCancels != 1 || st.LoadFallbacks != 1 {
-		t.Fatalf("stats = %+v, want 1 wave cancel + 1 load fallback", st)
+	if st.WaveCancels != 1 || st.LoadFallbacks != 1 || st.CorruptOutputs != 0 {
+		t.Fatalf("stats = %+v, want 1 wave cancel + 1 load fallback, no corruption", st)
 	}
 	m := tr.Members()[child]
 	if m.State != StateWarm || m.Parent != -1 {
@@ -285,7 +270,7 @@ func TestStaleCompleteAfterReparentRefused(t *testing.T) {
 	// The completion event scheduled for the dead donation fires anyway (the
 	// engine drops it by generation; the tree must also refuse it).
 	res := tr.Complete(child, time.Second, false)
-	if res.Completed || res.TreeDone || !res.Swept.Empty() {
+	if res.Completed || res.TreeDone || res.Quarantined {
 		t.Fatalf("stale completion was accepted: %+v", res)
 	}
 	if m := tr.Members()[child]; m.State != StateBuilding || m.phase != phasePending {
@@ -311,8 +296,7 @@ func TestTwoRunsAreIdentical(t *testing.T) {
 	}
 	for i := range m1 {
 		a, b := m1[i], m2[i]
-		if a.ID != b.ID || a.Node != b.Node || a.Parent != b.Parent ||
-			a.Wave != b.Wave || a.State != b.State {
+		if a.ID != b.ID || a.Node != b.Node || a.Parent != b.Parent || a.State != b.State {
 			t.Fatalf("member %d diverged: %+v vs %+v", i, a, b)
 		}
 	}

@@ -8,11 +8,11 @@ import (
 )
 
 // TestConcurrentWaveSchedulingStress hammers one tree from many goroutines —
-// schedulers starting and completing children, a killer downing donors
-// mid-wave, and readers snapshotting stats — to let the race detector check
-// the tree's locking. Scheduling decisions under concurrency are not
-// deterministic (the engine serializes for that); this test only asserts the
-// bookkeeping invariants survive.
+// schedulers starting and completing children, a killer downing seeds and
+// replicas mid-wave, and readers snapshotting stats — to let the race
+// detector check the tree's locking. Scheduling decisions under concurrency
+// are not deterministic (the engine serializes for that); this test only
+// asserts the bookkeeping invariants survive.
 func TestConcurrentWaveSchedulingStress(t *testing.T) {
 	tr := New(Config{Bandwidth: 2, MaxRecipients: 64}, "fn", 64, 0)
 	for n := 0; n < 4; n++ {

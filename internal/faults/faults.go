@@ -52,14 +52,13 @@ const (
 	// Bandwidth is a gray failure: a node's transform bandwidth degrades for
 	// a window, multiplying the cost of transformations executed on it.
 	Bandwidth
-	// FanoutCrash is a donor container dying mid-fan-out while streaming
-	// weights to a child: its in-flight children are orphaned and must be
-	// re-parented onto the nearest healthy ancestor in the transform tree.
+	// FanoutCrash is a seed container dying mid-fan-out while streaming
+	// weights to a child: its in-flight children are orphaned and move to
+	// another seed, or fall back to a from-scratch load.
 	FanoutCrash
-	// Corrupt is a transformation completing but emitting a corrupt model:
-	// the member looks warm, may donate onward, and is only caught by the
-	// meta-operator edge-balance verification at the next wave boundary —
-	// at which point its descendant subtree is quarantined.
+	// Corrupt is a fan-out donation completing but emitting a corrupt model:
+	// the meta-operator edge-balance verification catches it at completion,
+	// and the replica is quarantined before it serves.
 	Corrupt
 	eventCount
 )

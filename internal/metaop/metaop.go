@@ -26,8 +26,8 @@ var ErrEdgeBalance = errors.New("metaop: edge rewiring out of balance")
 // edge is either kept from the mapped source wiring or introduced by an
 // Edge-add step, and every source edge is either kept or dropped by an
 // Edge-remove step, so adds−removes must equal the edge-count difference
-// diff. It is used by Apply on every plan execution and by the fan-out tree
-// to verify a donor's inherited rewiring ledger before trusting its output.
+// diff. It is used by Apply on every plan execution and by fan-out to verify
+// a replica's rewiring ledger before it serves.
 func CheckEdgeBalance(adds, removes, diff int) error {
 	if adds-removes != diff {
 		return fmt.Errorf("%w: plan rewires %d−%d edges but the graphs differ by %d (truncated plan?)",

@@ -41,9 +41,9 @@ const (
 	// donor and won, the hung primary was cancelled as the loser, and the
 	// request paid the deadline window plus the backup transform.
 	StartHedge
-	// StartFanout reused a replica warmed ahead of demand by a fan-out
-	// transform tree (a burst triggered multicast-style donor replication and
-	// this request was the replica's first service).
+	// StartFanout reused a replica warmed ahead of demand by fan-out (a
+	// burst triggered one wave of donations from the function's warm seeds
+	// and this request was the replica's first service).
 	StartFanout
 	startKindCount
 )
@@ -146,28 +146,24 @@ func (f FaultStats) Any() bool {
 	return f != FaultStats{}
 }
 
-// FanoutStats tallies fan-out transform-tree activity over a run: how many
-// trees ran, how fast they warmed their target replica count, and every
-// resilience event along the way (package fanout describes the tree model).
+// FanoutStats tallies fan-out activity over a run: how many fan-outs ran,
+// how fast they warmed their target replica count, and every resilience
+// event along the way (package fanout describes the model).
 type FanoutStats struct {
-	// Trees counts fan-out trees started; TreesCompleted counts those that
+	// Trees counts fan-outs started; TreesCompleted counts those that
 	// reached their target warm-replica count within the run.
 	Trees, TreesCompleted int
 	// Recipients counts child transforms completed, including replacements
 	// rebuilt after a quarantine or cancellation.
 	Recipients int
-	// Waves is the deepest tree wave reached across all trees (seeds are
-	// wave 0).
-	Waves int
-	// DonorCrashes counts donors that died midway through streaming weights
-	// to a child; Reparents counts orphaned in-flight children re-parented
-	// onto the nearest healthy ancestor afterwards.
+	// DonorCrashes counts seeds that died midway through streaming weights
+	// to a child; Reparents counts orphaned in-flight children re-assigned
+	// to another seed (or parked for one) afterwards.
 	DonorCrashes, Reparents int
 	// CorruptOutputs counts children that completed with a corrupt model;
-	// Quarantined counts members cut out of the tree by the wave-boundary
-	// edge-balance verification (each poisoned member plus its descendants).
+	// Quarantined counts those the edge-balance check cut at completion.
 	CorruptOutputs, Quarantined int
-	// WaveCancels counts children cancelled by the per-wave watchdog
+	// WaveCancels counts children cancelled by the watchdog's donation
 	// deadline and diverted to the from-scratch fallback.
 	WaveCancels int
 	// LoadFallbacks counts children built by a from-scratch load instead of
@@ -183,9 +179,9 @@ func (f FanoutStats) Any() bool {
 	return f != FanoutStats{}
 }
 
-// Merge folds another run's (or tree's) tallies into f: counters add, while
-// Waves and TimeToWarm keep the maximum — the deepest tree and the slowest
-// warm-up are the figures of merit.
+// Merge folds another run's (or fan-out's) tallies into f: counters add,
+// while TimeToWarm keeps the maximum — the slowest warm-up is the figure of
+// merit.
 func (f *FanoutStats) Merge(o FanoutStats) {
 	f.Trees += o.Trees
 	f.TreesCompleted += o.TreesCompleted
@@ -196,9 +192,6 @@ func (f *FanoutStats) Merge(o FanoutStats) {
 	f.Quarantined += o.Quarantined
 	f.WaveCancels += o.WaveCancels
 	f.LoadFallbacks += o.LoadFallbacks
-	if o.Waves > f.Waves {
-		f.Waves = o.Waves
-	}
 	if o.TimeToWarm > f.TimeToWarm {
 		f.TimeToWarm = o.TimeToWarm
 	}

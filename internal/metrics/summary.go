@@ -23,10 +23,10 @@ type Summary struct {
 	Retries int
 	// Kinds counts records per start kind.
 	Kinds [startKindCount]int
-	// Faults and Fanout carry the run's injected-failure and fan-out-tree
+	// Faults and Fanout carry the run's injected-failure and fan-out
 	// tallies (folded in by the replay engine, not per record).
 	Faults FaultStats
-	// Fanout carries the run's fan-out tree tallies.
+	// Fanout carries the run's fan-out tallies.
 	Fanout FanoutStats
 }
 
@@ -95,17 +95,6 @@ func (s *Summary) KindFractions() map[StartKind]float64 {
 		}
 	}
 	return out
-}
-
-// HitRatio is the warm-path share of served requests — warm + transform +
-// hedge + fanout — the soak experiment's availability-style figure, exact.
-func (s *Summary) HitRatio() float64 {
-	n := s.Count()
-	if n == 0 {
-		return 0
-	}
-	hits := s.Kinds[StartWarm] + s.Kinds[StartTransform] + s.Kinds[StartHedge] + s.Kinds[StartFanout]
-	return float64(hits) / float64(n)
 }
 
 // MeanBreakdown averages the per-request latency decomposition (exact).

@@ -113,12 +113,12 @@ type Config struct {
 	// backup started from the next-best donor, and the loser is cancelled.
 	// A zero Percentile disables hedging.
 	Hedge supervisor.HedgeConfig
-	// Fanout configures fault-tolerant transform fan-out trees for burst
-	// absorption (package fanout): a per-node queue for a function crossing
-	// the threshold triggers a multicast-style replication tree seeded from
-	// the function's warm containers, with every completed replica donating
-	// to the next wave. Trace-replay (event-loop) mode only — Online serving
-	// never queues, so trees never trigger there. The zero value disables it.
+	// Fanout configures fault-tolerant fan-out for burst absorption
+	// (package fanout): a per-node queue for a function crossing the
+	// threshold triggers one wave of replica builds, each streaming its
+	// weights from one of the function's warm containers. Trace-replay
+	// (event-loop) mode only — Online serving never queues, so fan-out never
+	// triggers there. The zero value disables it.
 	Fanout fanout.Config
 	// RouteScan forces the legacy O(nodes×containers) scanning router for
 	// trace replay instead of the incrementally-maintained routing index —
@@ -228,9 +228,9 @@ type Simulator struct {
 	backoff  *supervisor.Backoff
 	hedger   *supervisor.Hedger
 
-	// fanouts holds the active fan-out tree per function name; fanoutLog
-	// keeps every tree started so Run can fold incomplete trees' tallies into
-	// the collector at the end.
+	// fanouts holds the active fan-out per function name; fanoutLog keeps
+	// every fan-out started so Run can fold incomplete ones' tallies into the
+	// collector at the end.
 	fanouts   map[string]*fanoutRun
 	fanoutLog []*fanoutRun
 }
@@ -473,9 +473,9 @@ func (s *Simulator) Run(trace *workload.Trace) (*metrics.Collector, error) {
 	return &s.collector, nil
 }
 
-// foldFanoutLog folds in the tallies of fan-out trees that never reached
-// their target (capacity-starved, donors all lost, or the trace simply
-// ended): they still report what they did.
+// foldFanoutLog folds in the tallies of fan-outs that never reached their
+// target (capacity-starved, seeds all lost, or the trace simply ended): they
+// still report what they did.
 func (s *Simulator) foldFanoutLog() {
 	for _, run := range s.fanoutLog {
 		s.mergeFanout(run)
@@ -658,7 +658,7 @@ type event struct {
 	fr      *fnRuntime
 	arrival time.Duration
 	retries int
-	// fo, member and gen drive fan-out tree events: the run, the tree member
+	// fo, member and gen drive fan-out events: the run, the member
 	// the event concerns, and the generation it was scheduled under — stale
 	// events (member rescheduled or torn down since) are dropped at fire time.
 	fo     *fanoutRun
@@ -851,8 +851,8 @@ func (s *Simulator) failNode(n *Node) {
 	for _, q := range requeue {
 		s.dispatch(q.fr, q.arrival, q.retries)
 	}
-	// The outage may have wiped fan-out tree members; reconcile retires them
-	// and re-parents any children that were streaming from them.
+	// The outage may have wiped fan-out members; reconcile retires them and
+	// re-parents any children that were streaming from them.
 	s.pumpFanouts()
 }
 
@@ -1281,8 +1281,8 @@ func (s *Simulator) start(node *Node, fr *fnRuntime, arrival, now time.Duration,
 		return nil, rec, false
 	}
 	if d.Reuse != nil && d.Reuse.fanoutFresh {
-		// First service of a replica warmed by a fan-out tree: a warm reuse
-		// is credited to the tree. Any other decision (e.g. repurposing the
+		// First service of a replica warmed by fan-out: a warm reuse is
+		// credited to fan-out. Any other decision (e.g. repurposing the
 		// replica for another function) just consumes the flag.
 		d.Reuse.fanoutFresh = false
 		if d.Kind == metrics.StartWarm {

@@ -1,16 +1,16 @@
 package simulate
 
-// This file drives fault-tolerant fan-out transform trees (package fanout)
-// inside the trace-replay engine: a deep per-node queue for a function
-// triggers a replication tree seeded from the function's warm containers, and
-// every completed replica immediately becomes a donor for the next wave.
+// This file drives fault-tolerant fan-out (package fanout) inside the
+// trace-replay engine: a deep per-node queue for a function triggers one wave
+// of replica builds, each streaming its weights from one of the function's
+// warm containers (the seeds).
 //
-// The two phases of a replica build are pipelined across waves: the
-// recipient-local structure load (sandbox init + graph instantiation) runs
-// without holding any donor, and only the weights stream occupies one of the
-// donor node's bounded outbound donation slots. Phase costs come straight
-// from the cost profile's load breakdown, so the tree's economics match the
-// transform economics everywhere else in the simulator.
+// The two phases of a replica build are pipelined: the recipient-local
+// structure load (sandbox init + graph instantiation) runs without holding
+// any donor, and only the weights stream occupies one of the seed node's
+// bounded outbound donation slots. Phase costs come straight from the cost
+// profile's load breakdown, so fan-out's economics match the transform
+// economics everywhere else in the simulator.
 //
 // A building replica's container is held busy for the whole build (one long
 // horizon instead of per-phase BusyUntil rewrites): the router never sees a
@@ -24,7 +24,7 @@ package simulate
 // re-parenting, cancellation and teardown bump the generation, so stale
 // completions and crashes die at fire time without event-heap surgery. All
 // scheduling decisions iterate nodes and members in deterministic order — a
-// fixed seed reproduces the exact same tree, faults included.
+// fixed seed reproduces the exact same schedule, faults included.
 
 import (
 	"sort"
@@ -41,7 +41,7 @@ import (
 // the horizon itself never fires a transition.
 const fanoutBuildHold = 24 * time.Hour
 
-// fanoutRun couples one fan-out tree with its engine-side state.
+// fanoutRun couples one fan-out with its engine-side state.
 type fanoutRun struct {
 	tree *fanout.Tree
 	fr   *fnRuntime
@@ -63,13 +63,13 @@ type fanoutRun struct {
 	merged                             bool
 }
 
-// maybeFanout triggers a tree when the node's queue for fn crosses the
+// maybeFanout triggers a fan-out when the node's queue for fn crosses the
 // configured threshold and the cluster holds at least one seedable warm
 // container — there is nothing to replicate from otherwise, and a later
 // arrival retries once the first cold start completes.
 func (s *Simulator) maybeFanout(node *Node, fr *fnRuntime) {
 	if s.fanouts[fr.fn.Name] != nil {
-		return // one active tree per function
+		return // one active fan-out per function
 	}
 	depth := 0
 	for _, q := range node.queue {
@@ -90,9 +90,9 @@ func (s *Simulator) maybeFanout(node *Node, fr *fnRuntime) {
 	run.structDur = s.env.Profile.SandboxInit + b.Structure
 	run.weightsDur = b.Weights
 	run.fallbackDur = b.Deserialize + b.Weights
-	// Size the tree to what the cluster can actually hold right now: a
-	// target beyond placeable capacity would leave the tree waiting forever
-	// for slots that never free.
+	// Size the fan-out to what the cluster can actually hold right now: a
+	// target beyond placeable capacity would leave it waiting forever for
+	// slots that never free.
 	grant := s.env.GrantFor(fr.fn)
 	want := 0
 	for _, n := range s.nodes {
@@ -132,34 +132,17 @@ func (s *Simulator) maybeFanout(node *Node, fr *fnRuntime) {
 	s.pumpFanout(run)
 }
 
-// fanoutPlaceable is CanPlaceFor with one exclusion: idle containers already
-// holding the tree's function never count as reclaimable. Counting them would
-// let a capacity-bound tree place recipients by evicting its own seeds and
-// warm members — churn that destroys exactly the warmth it builds. Since LRU
-// eviction consumes the oldest idle containers first and the tree's members
-// go idle last (they complete after the trigger), placements gated on this
-// check reclaim foreign idle containers and leave the tree intact.
-func fanoutPlaceable(n *Node, now time.Duration, memMB int, fn *Function) bool {
-	slots := len(n.Containers)
-	free := 0
-	if n.MemoryMB > 0 {
-		free = n.MemoryMB - n.UsedMB()
-	}
-	for _, c := range n.Containers {
-		if !c.Busy(now) && c.Fn != fn {
-			slots--
-			free += c.MemMB
-		}
-	}
-	if slots >= n.Capacity {
-		return false
-	}
-	return n.MemoryMB == 0 || free >= memMB
-}
-
 // fanoutCapacity counts how many fresh recipients a node could host right
-// now under fanoutPlaceable's rules (free slots plus reclaimable foreign idle
-// containers, bounded by memory in memory-aware modes).
+// now: free slots plus reclaimable idle containers, bounded by memory in
+// memory-aware modes. It is CanPlaceFor's rule with one exclusion: idle
+// containers already holding the fan-out's function never count as
+// reclaimable. Counting them would let a capacity-bound fan-out place
+// recipients by evicting its own seeds and warm replicas — churn that
+// destroys exactly the warmth it builds. Since LRU eviction consumes the
+// oldest idle containers first and the fan-out's members go idle last (they
+// complete after the trigger), placements gated on this count reclaim
+// foreign idle containers and leave the fan-out intact. An over-committed
+// memory-aware node hosts nothing, whatever the grant.
 func fanoutCapacity(n *Node, now time.Duration, memMB int, fn *Function) int {
 	slots := n.Capacity - len(n.Containers)
 	free := 0
@@ -172,16 +155,11 @@ func fanoutCapacity(n *Node, now time.Duration, memMB int, fn *Function) int {
 			free += c.MemMB
 		}
 	}
-	if slots < 0 {
-		slots = 0
+	if slots < 0 || (n.MemoryMB > 0 && free < 0) {
+		return 0
 	}
 	if n.MemoryMB > 0 && memMB > 0 {
-		if byMem := free / memMB; byMem < slots {
-			if byMem < 0 {
-				return 0
-			}
-			return byMem
-		}
+		return min(slots, free/memMB)
 	}
 	return slots
 }
@@ -216,7 +194,7 @@ func (s *Simulator) fanoutEligible(run *fanoutRun) func(member, node int) bool {
 	}
 }
 
-// pumpFanouts advances every active tree; called whenever cluster state that
+// pumpFanouts advances every active fan-out; called whenever cluster state that
 // gates tree progress may have changed (a completion or crash freed capacity,
 // an outage wiped members). Iteration is name-sorted so map order never leaks
 // into scheduling.
@@ -236,7 +214,7 @@ func (s *Simulator) pumpFanouts() {
 	}
 }
 
-// pumpFanout advances one tree: reconcile lost members, start recipients up
+// pumpFanout advances one fan-out: reconcile lost members, start recipients up
 // to the target wherever capacity allows, hand freed donor streams to parked
 // children, and divert stranded children to fallback loads.
 func (s *Simulator) pumpFanout(run *fanoutRun) {
@@ -248,7 +226,7 @@ func (s *Simulator) pumpFanout(run *fanoutRun) {
 	for run.tree.NeedRecipients() > 0 {
 		var cands []int
 		for _, n := range s.nodes {
-			if !s.unroutable(n, s.clock) && fanoutPlaceable(n, s.clock, grant, run.fr.fn) {
+			if !s.unroutable(n, s.clock) && fanoutCapacity(n, s.clock, grant, run.fr.fn) > 0 {
 				cands = append(cands, n.ID)
 			}
 		}
@@ -273,7 +251,7 @@ func (s *Simulator) pumpFanout(run *fanoutRun) {
 // streaming from them.
 func (s *Simulator) reconcileFanout(run *fanoutRun) {
 	for _, m := range run.tree.Members() {
-		if m.State != fanout.StateWarm && m.State != fanout.StatePoisoned {
+		if m.State != fanout.StateWarm {
 			continue
 		}
 		if s.fanoutAlive(run, m.ID) {
@@ -295,8 +273,7 @@ func (s *Simulator) reconcileFanout(run *fanoutRun) {
 }
 
 // fanoutStranded diverts parked children to from-scratch fallbacks when the
-// tree can no longer produce a donor for them (everything that could donate
-// is dead and nothing in flight will complete into a donor).
+// fan-out can no longer produce a donor for them (every seed is dead).
 func (s *Simulator) fanoutStranded(run *fanoutRun) {
 	alive := func(member, _ int) bool { return s.fanoutAlive(run, member) }
 	for _, child := range run.tree.Stranded(alive) {
@@ -323,8 +300,8 @@ func (s *Simulator) startFanoutRecipient(run *fanoutRun, child int, node *Node) 
 		fo: run, member: child, gen: run.gens[child]})
 }
 
-// fanoutStruct finishes a recipient's structure load: the child asks the tree
-// for a donor and either starts its weights stream or parks until one frees.
+// fanoutStruct finishes a recipient's structure load: the child asks for a
+// seed and either starts its weights stream or parks until one frees.
 func (s *Simulator) fanoutStruct(ev event) {
 	run := ev.fo
 	if ev.gen != run.gens[ev.member] {
@@ -342,13 +319,13 @@ func (s *Simulator) fanoutStruct(ev event) {
 	}
 	// Parked: the container stays held busy; PumpPending hands it a donor
 	// when a stream frees, and the stranded check diverts it to a fallback
-	// when the tree can no longer produce one.
+	// when no seed is left.
 	s.fanoutStranded(run)
 }
 
-// scheduleDonation starts streaming weights from the assigned donor. The
+// scheduleDonation starts streaming weights from the assigned seed. The
 // replication pair's circuit breaker ((fn→fn)) may divert the child to a
-// fallback load; a donation degraded past the per-wave virtual-time deadline
+// fallback load; a donation degraded past the watchdog's virtual-time deadline
 // is cancelled up front by the watchdog — only degraded-bandwidth donations
 // can breach it, so zero-fault runs never cancel. The FanoutCrash and Corrupt
 // faults draw here, at scheduling time, so a fixed seed reproduces the exact
@@ -378,8 +355,8 @@ func (s *Simulator) scheduleDonation(run *fanoutRun, a fanout.Assignment) {
 		return
 	}
 	if s.inj.Fire(faults.FanoutCrash) {
-		// The donor dies at the stream's midpoint; its orphans (this child
-		// and any sibling streams) are re-parented when the crash fires.
+		// The seed dies at the stream's midpoint; its orphans (this child
+		// and any sibling streams) are re-assigned when the crash fires.
 		s.schedule(event{at: now + w/2, kind: evFanoutCrash, node: donorNode,
 			c: run.ctrs[a.Donor], fo: run, member: a.Donor, gen: run.gens[a.Donor]})
 	}
@@ -421,11 +398,11 @@ func (s *Simulator) fanoutRelease(node *Node, c *Container) {
 }
 
 // fanoutDone finishes a child's weights stream or fallback load: the tree
-// records the completion (running its wave-boundary edge-balance sweep), any
-// quarantined subtree is torn down, and the surviving replica idles into
-// service — its first request records a StartFanout, and if its own node has
-// no queued work it steals one stranded request for the function from another
-// node's queue, turning warmth into goodput.
+// records the completion and runs the edge-balance check; a corrupt replica
+// is torn down before it serves, and a clean one idles into service — its
+// first request records a StartFanout, and if its own node has no queued work
+// it steals one stranded request for the function from another node's queue,
+// turning warmth into goodput.
 func (s *Simulator) fanoutDone(ev event) {
 	run := ev.fo
 	if ev.gen != run.gens[ev.member] {
@@ -441,28 +418,21 @@ func (s *Simulator) fanoutDone(ev event) {
 	name := run.fr.fn.Name
 	res := run.tree.Complete(ev.member, s.clock, ev.foCorrupt)
 	if !res.Completed {
-		// The tree refused the completion: the member was re-parented,
-		// cancelled or quarantined since this event was scheduled. Drop the
-		// event without promoting the container — it is still mid-build.
+		// The tree refused the completion: the member was re-parented or
+		// diverted since this event was scheduled. Drop the event without
+		// promoting the container — it is still mid-build.
 		return
 	}
-	removedSelf := false
-	for _, id := range res.Swept.Removed {
-		if id == ev.member {
-			removedSelf = true
-		}
-	}
-	if !res.Swept.Empty() {
-		// The sweep found corruption: that is failure evidence on the
-		// replication pair, and the quarantined containers are destroyed
-		// before anything can route onto them.
+	if res.Quarantined {
+		// The edge-balance check caught a corrupt donation: that is failure
+		// evidence on the replication pair, and the replica is destroyed
+		// before anything can route onto it.
 		s.breaker.RecordFailure(name, name, s.clock)
-		s.fanoutTeardown(run, res.Swept.Removed)
-		s.fanoutTeardown(run, res.Swept.Cancelled)
-	} else if res.ViaDonation {
-		s.breaker.RecordSuccess(name, name)
-	}
-	if !removedSelf {
+		s.fanoutDestroy(node, c)
+	} else {
+		if res.ViaDonation {
+			s.breaker.RecordSuccess(name, name)
+		}
 		c.fanoutFresh = true
 		c.fanoutBuilt = true
 		// complete() drains the node's queue, lets the replica steal queued
@@ -478,31 +448,19 @@ func (s *Simulator) fanoutDone(ev event) {
 	}
 }
 
-// fanoutCrash kills a donor midway through a donation: the container is lost
+// fanoutCrash kills a seed midway through a donation: the container is lost
 // (any request it was serving is re-dispatched), the node's health takes the
-// failure, and each orphaned in-flight child is re-parented onto the nearest
-// healthy ancestor — or parked for the next free donor.
+// failure, and each orphaned in-flight child is re-assigned to another seed —
+// or parked for the next free stream.
 func (s *Simulator) fanoutCrash(ev event) {
 	run := ev.fo
 	if ev.gen != run.gens[ev.member] {
 		return
 	}
 	run.gens[ev.member]++
-	c, node := ev.c, ev.node
+	node := ev.node
 	name := run.fr.fn.Name
-	if c != nil && !c.dead {
-		node.expireIndex(s.clock)
-		node.Remove(c)
-		c.dead = true
-		s.watchdog.Expire(c.ID)
-		if c.hasServing {
-			c.hasServing = false
-			if c.crashPending {
-				c.crashPending = false
-				s.retryOrDrop(c.serving)
-			}
-		}
-	}
+	s.fanoutDestroy(node, ev.c)
 	s.health.ObserveFailure(node.ID, s.clock)
 	s.breaker.RecordFailure(name, name, s.clock)
 	for _, r := range run.tree.DonorLost(ev.member, s.fanoutEligible(run), true) {
@@ -521,26 +479,22 @@ func (s *Simulator) fanoutCrash(ev event) {
 	s.pumpFanout(run)
 }
 
-// fanoutTeardown destroys quarantined members' containers; a victim serving a
-// request loses it like any other container loss (bounded retries).
-func (s *Simulator) fanoutTeardown(run *fanoutRun, ids []int) {
-	for _, id := range ids {
-		run.gens[id]++
-		c := run.ctrs[id]
-		if c == nil || c.dead {
-			continue
-		}
-		node := run.home[id]
-		node.expireIndex(s.clock)
-		node.Remove(c)
-		c.dead = true
-		s.watchdog.Expire(c.ID)
-		if c.hasServing {
-			c.hasServing = false
-			if c.crashPending {
-				c.crashPending = false
-				s.retryOrDrop(c.serving)
-			}
+// fanoutDestroy removes a crashed seed's or a quarantined replica's
+// container; a victim serving a request loses it like any other container
+// loss (bounded retries).
+func (s *Simulator) fanoutDestroy(node *Node, c *Container) {
+	if c == nil || c.dead {
+		return
+	}
+	node.expireIndex(s.clock)
+	node.Remove(c)
+	c.dead = true
+	s.watchdog.Expire(c.ID)
+	if c.hasServing {
+		c.hasServing = false
+		if c.crashPending {
+			c.crashPending = false
+			s.retryOrDrop(c.serving)
 		}
 	}
 }
@@ -569,7 +523,7 @@ func (s *Simulator) fanoutStealInto(node *Node, c *Container) {
 	}
 }
 
-// mergeFanout folds a tree's tallies into the collector exactly once.
+// mergeFanout folds a fan-out's tallies into the collector exactly once.
 func (s *Simulator) mergeFanout(run *fanoutRun) {
 	if run.merged {
 		return

@@ -7,8 +7,11 @@ package simulate
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/fanout"
+	"repro/internal/faults"
+	"repro/internal/workload"
 	"repro/internal/zoo"
 )
 
@@ -118,4 +121,89 @@ func TestFanoutDoneRefusesUnappliedCompletion(t *testing.T) {
 	s.fanoutDone(event{at: s.clock, node: run.home[childA], c: run.ctrs[childA],
 		fo: run, member: childA, gen: run.gens[childA]})
 	assertHeld(t, s, run, childA)
+}
+
+// TestFanoutCorruptOutputQuarantinesReplica runs the burst under rate-0.5
+// corrupt donations: every corrupt replica is quarantined at completion and
+// nothing else is, its container is destroyed without ever being released
+// into service, replacements bring the fan-out to its target, and no request
+// is lost.
+func TestFanoutCorruptOutputQuarantinesReplica(t *testing.T) {
+	g, err := zoo.Imgclsmob().Get("resnet18-imagenet")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fn := &Function{Name: "resnet18-imagenet", Model: g}
+	reqs := []workload.Request{{Function: fn.Name, At: 0}}
+	for i := 0; i < 40; i++ {
+		reqs = append(reqs, workload.Request{Function: fn.Name, At: 5*time.Minute + time.Duration(i)*time.Millisecond})
+	}
+	tr := &workload.Trace{Duration: 2 * time.Hour, Requests: reqs}
+	s := New(Config{
+		Policy: warmColdPolicy{}, Nodes: 4, ContainersPerNode: 2, Seed: 7,
+		Placement: map[string][]int{fn.Name: {0}},
+		Fanout:    fanout.Config{Enabled: true},
+		Faults:    faults.Rates{Corrupt: 0.5},
+	}, []*Function{fn})
+	col, err := s.Run(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := col.Fanout
+	if fs.CorruptOutputs == 0 {
+		t.Fatalf("rate-0.5 corrupt outputs never fired: %+v", fs)
+	}
+	if fs.Quarantined != fs.CorruptOutputs || fs.TreesCompleted != 1 {
+		t.Fatalf("want each corrupt replica quarantined and a completed fan-out: %+v", fs)
+	}
+	if col.Len() != tr.Len() {
+		t.Fatalf("corruption must not lose requests: served %d of %d", col.Len(), tr.Len())
+	}
+	quarantined := 0
+	for _, run := range s.fanoutLog {
+		for _, m := range run.tree.Members() {
+			if m.State != fanout.StateQuarantined {
+				continue
+			}
+			quarantined++
+			c := run.ctrs[m.ID]
+			if !c.dead || c.fanoutBuilt || c.LastDone != c.Created {
+				t.Fatalf("quarantined member %d: dead=%v built=%v served=%v, want a destroyed container that never served",
+					m.ID, c.dead, c.fanoutBuilt, c.LastDone != c.Created)
+			}
+		}
+	}
+	if quarantined != fs.Quarantined {
+		t.Fatalf("%d quarantined members, stats say %d", quarantined, fs.Quarantined)
+	}
+}
+
+// TestFanoutCapacity pins the placement rule over hand-built nodes: free
+// slots plus idle containers of other functions, bounded by memory, and
+// nothing at all on an over-committed memory-aware node.
+func TestFanoutCapacity(t *testing.T) {
+	fn, other := &Function{Name: "f"}, &Function{Name: "g"}
+	busy := func(f *Function, mb int) *Container { return &Container{Fn: f, MemMB: mb, BusyUntil: time.Hour} }
+	idle := func(f *Function, mb int) *Container { return &Container{Fn: f, MemMB: mb} }
+	cases := []struct {
+		name     string
+		node     Node
+		memMB    int
+		capacity int
+	}{
+		{"empty slot node", Node{Capacity: 2}, 0, 2},
+		{"busy slots", Node{Capacity: 2, Containers: []*Container{busy(fn, 0), busy(other, 0)}}, 0, 0},
+		{"foreign idle reclaimable", Node{Capacity: 2, Containers: []*Container{busy(fn, 0), idle(other, 0)}}, 0, 1},
+		{"own idle kept", Node{Capacity: 2, Containers: []*Container{idle(fn, 0), busy(other, 0)}}, 0, 0},
+		{"memory bound", Node{Capacity: 4, MemoryMB: 1000}, 300, 3},
+		{"memory with reclaim", Node{Capacity: 4, MemoryMB: 1000, Containers: []*Container{idle(other, 600), busy(fn, 300)}}, 300, 2},
+		{"memory node, zero grant", Node{Capacity: 3, MemoryMB: 1000, Containers: []*Container{busy(other, 300)}}, 0, 2},
+		{"over-committed, zero grant", Node{Capacity: 4, MemoryMB: 500, Containers: []*Container{busy(other, 300), busy(other, 300)}}, 0, 0},
+		{"over-committed, grant", Node{Capacity: 4, MemoryMB: 500, Containers: []*Container{busy(other, 300), busy(other, 300)}}, 200, 0},
+	}
+	for _, tc := range cases {
+		if got := fanoutCapacity(&tc.node, 0, tc.memMB, fn); got != tc.capacity {
+			t.Errorf("%s: capacity %d, want %d", tc.name, got, tc.capacity)
+		}
+	}
 }

@@ -50,7 +50,7 @@ func groupSerialReason(cfg Config) string {
 	case cfg.OnlineProfiling > 0:
 		return "online profiling couples the cost estimator across all requests"
 	case cfg.Fanout.Enabled:
-		return "fan-out trees place replicas across all nodes"
+		return "fan-out places replicas across all nodes"
 	case cfg.Health.Enabled:
 		return "health tracking couples the cluster latency baseline across all nodes"
 	}

@@ -203,14 +203,14 @@ func TestOnlineSetsLastDoneAtServe(t *testing.T) {
 
 // TestOnlineNeverFansOut pins a deliberate divergence from replay: Online
 // never queues (a request that finds no free container waits eagerly), so
-// the per-node queue threshold that starts a fan-out tree is never crossed,
-// even with fan-out configured and a burst that makes replay build a tree.
+// the per-node queue threshold that starts a fan-out is never crossed, even
+// with fan-out configured and a burst that makes replay fan out.
 func TestOnlineNeverFansOut(t *testing.T) {
 	fns, tr := fanoutBurst(t, 16)
 	cfg := fanoutConfig(fanout.Config{Threshold: 2})
 	replay, _ := runFanout(t, cfg, fns, tr)
 	if replay.Fanout.Trees == 0 {
-		t.Fatal("the burst no longer starts a fan-out tree in replay")
+		t.Fatal("the burst no longer starts a fan-out in replay")
 	}
 	o := simulate.NewOnline(cfg, fns)
 	for _, r := range tr.Requests {

@@ -191,9 +191,9 @@ func TestWindowedMatchesSerial(t *testing.T) {
 				t.Fatal(err)
 			}
 			if *got != *want {
-				t.Fatalf("chunked summary != serial summary:\nchunked count=%d mean=%v p99=%v hit=%v\nserial  count=%d mean=%v p99=%v hit=%v",
-					got.Count(), got.MeanLatency(), got.Percentile(99), got.HitRatio(),
-					want.Count(), want.MeanLatency(), want.Percentile(99), want.HitRatio())
+				t.Fatalf("chunked summary != serial summary:\nchunked count=%d mean=%v p99=%v kinds=%v\nserial  count=%d mean=%v p99=%v kinds=%v",
+					got.Count(), got.MeanLatency(), got.Percentile(99), got.Kinds,
+					want.Count(), want.MeanLatency(), want.Percentile(99), want.Kinds)
 			}
 		})
 	}

@@ -46,10 +46,10 @@ type Container struct {
 	// dead marks a container destroyed by an injected crash or node
 	// outage; pending completion events for it are ignored.
 	dead bool
-	// fanoutFresh marks a replica just warmed by a fan-out transform tree;
-	// its first warm reuse is recorded as a StartFanout and clears the flag.
-	// fanoutBuilt persists for the container's lifetime: tree-built warmth
-	// serves the whole cluster, so whenever such a replica idles it may steal
+	// fanoutFresh marks a replica just warmed by fan-out; its first warm
+	// reuse is recorded as a StartFanout and clears the flag. fanoutBuilt
+	// persists for the container's lifetime: fan-out-built warmth serves the
+	// whole cluster, so whenever such a replica idles it may steal
 	// queued work from other nodes regardless of static placement.
 	fanoutFresh bool
 	fanoutBuilt bool

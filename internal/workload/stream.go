@@ -324,29 +324,3 @@ func (c *traceCursor) Next() (Request, bool) {
 
 // Cursor returns a streaming view over the (already time-sorted) trace.
 func (t *Trace) Cursor() Cursor { return &traceCursor{t: t} }
-
-// SeriesFromCursor computes per-slot demand series for every function in
-// fns in a single streaming pass — the streaming twin of AllSeries, with
-// O(functions × slots) memory.
-func SeriesFromCursor(src Cursor, duration time.Duration, fns []string, slot time.Duration) map[string][]float64 {
-	out := make(map[string][]float64, len(fns))
-	if slot <= 0 || duration <= 0 {
-		return out
-	}
-	n := int(duration/slot) + 1
-	for _, f := range fns {
-		out[f] = make([]float64, n)
-	}
-	for {
-		r, ok := src.Next()
-		if !ok {
-			return out
-		}
-		if s, ok := out[r.Function]; ok {
-			i := int(r.At / slot)
-			if i >= 0 && i < len(s) {
-				s[i]++
-			}
-		}
-	}
-}

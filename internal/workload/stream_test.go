@@ -140,24 +140,3 @@ func TestTraceCursor(t *testing.T) {
 		t.Fatalf("cursor did not end with the trace")
 	}
 }
-
-// TestSeriesFromCursor checks the streaming demand series matches the
-// materialized AllSeries for every function.
-func TestSeriesFromCursor(t *testing.T) {
-	fns := fnNames(12)
-	const horizon = 24 * time.Hour
-	tr := AzureLike(fns, horizon, 5)
-	want := AllSeries(tr, fns, 10*time.Minute)
-	got := SeriesFromCursor(StreamAzureLike(fns, horizon, 5), horizon, fns, 10*time.Minute)
-	for _, f := range fns {
-		w, g := want[f], got[f]
-		if len(w) != len(g) {
-			t.Fatalf("%s: series length %d vs %d", f, len(w), len(g))
-		}
-		for i := range w {
-			if w[i] != g[i] {
-				t.Fatalf("%s slot %d: %v vs %v", f, i, w[i], g[i])
-			}
-		}
-	}
-}

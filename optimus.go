@@ -58,12 +58,13 @@ type BackoffConfig = supervisor.BackoffConfig
 // HedgeConfig parameterizes hedged backup transforms for hung primaries.
 type HedgeConfig = supervisor.HedgeConfig
 
-// FanoutConfig parameterizes fault-tolerant fan-out transform trees (burst
-// absorption; see DESIGN.md). The zero value disables them.
+// FanoutConfig parameterizes fault-tolerant fan-out: burst absorption by one
+// wave of replicas streamed from the warm seeds (see DESIGN.md). The zero
+// value disables it.
 type FanoutConfig = fanout.Config
 
-// FanoutStats tallies a run's fan-out trees: replicas built, waves, donor
-// crashes, re-parents, quarantines, and time-to-target-warm.
+// FanoutStats tallies a run's fan-outs: replicas built, seed crashes,
+// re-parents, quarantines, and time-to-target-warm.
 type FanoutStats = metrics.FanoutStats
 
 // Hardware selects the latency profile.
@@ -281,8 +282,8 @@ type SystemConfig struct {
 	// Hedge configures hedged backup transforms for hung primaries; a zero
 	// Percentile disables hedging.
 	Hedge HedgeConfig
-	// Fanout configures fault-tolerant fan-out transform trees for burst
-	// absorption; the zero value disables them.
+	// Fanout configures fault-tolerant fan-out for burst absorption; the
+	// zero value disables it.
 	Fanout FanoutConfig
 }
 
@@ -487,7 +488,7 @@ func (r *StreamReport) FaultSummary() string {
 		f.TransformFallbacks, f.LoadRetries, f.Crashes, f.Outages, f.Retries, f.Dropped)
 }
 
-// FanoutSummary renders the run's fan-out tree tallies, or "" when no tree
+// FanoutSummary renders the run's fan-out tallies, or "" when no fan-out
 // triggered.
 func (r *Report) FanoutSummary() string {
 	f := r.Fanout
@@ -495,8 +496,8 @@ func (r *Report) FanoutSummary() string {
 		return ""
 	}
 	out := fmt.Sprintf(
-		"fanout: %d trees (%d completed), %d replicas in %d waves, warm in %v",
-		f.Trees, f.TreesCompleted, f.Recipients, f.Waves, f.TimeToWarm)
+		"fanout: %d fan-outs (%d completed), %d replicas, warm in %v",
+		f.Trees, f.TreesCompleted, f.Recipients, f.TimeToWarm)
 	if f.DonorCrashes > 0 || f.Reparents > 0 || f.CorruptOutputs > 0 {
 		out += fmt.Sprintf(" | %d donor crashes (%d re-parents), %d corrupt (%d quarantined)",
 			f.DonorCrashes, f.Reparents, f.CorruptOutputs, f.Quarantined)
