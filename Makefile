@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet fmt lint lintguard test race bench-scale bench-stream bench-soak bench-recovery bench-fanout bench-gateway microbench precomputeguard scaleguard streamguard soakguard recoveryguard fanoutguard gatewayguard fmaguard benchtest fuzz check
+.PHONY: build vet fmt lint lintguard test race bench-scale bench-stream bench-soak bench-recovery bench-fanout microbench precomputeguard scaleguard streamguard soakguard recoveryguard fanoutguard fmaguard benchtest fuzz check
 
 build:
 	$(GO) build ./...
@@ -71,12 +71,6 @@ bench-recovery:
 bench-fanout:
 	$(GO) run ./cmd/optimus-bench fanout
 
-# bench-gateway runs the multi-gateway control-plane experiment (aggregate
-# throughput at 1/2/4/8 gateways, shared-vs-isolated plan cache with a
-# mid-trace drain) and leaves BENCH_gateway.json in the repo root.
-bench-gateway:
-	$(GO) run ./cmd/optimus-bench gateway
-
 # microbench runs the Go testing.B microbenchmarks of the root package.
 microbench:
 	$(GO) test -bench=. -benchmem .
@@ -120,13 +114,6 @@ recoveryguard:
 fanoutguard:
 	$(GO) test -run 'TestFanout' ./internal/experiments
 
-# gatewayguard validates the checked-in BENCH_gateway.json against the
-# multi-gateway acceptance gate (≥2x aggregate simulated throughput at 4
-# gateways, shared plan-cache hit ratio at or above isolated with no more
-# pairs planned, double-run byte-identity) and replays a quick smoke.
-gatewayguard:
-	$(GO) test -run 'TestGateway' ./internal/experiments
-
 # fmaguard cross-compiles the library packages for arm64, ppc64le, s390x and
 # riscv64 with -gcflags=-S and fails on any fused multiply-add instruction,
 # naming its source line: a fused x*y + z rounds once instead of twice, so
@@ -156,4 +143,4 @@ fuzz:
 # project linter with its JSON gate), a full build, the test suite under the
 # race detector (the gateway stress test needs it), the benchmark
 # regression guards, and the repo benchmark's own tests.
-check: fmt vet lintguard build race precomputeguard scaleguard streamguard soakguard recoveryguard fanoutguard gatewayguard fmaguard benchtest
+check: fmt vet lintguard build race precomputeguard scaleguard streamguard soakguard recoveryguard fanoutguard fmaguard benchtest

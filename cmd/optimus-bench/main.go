@@ -69,7 +69,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "baselines:   scale (replays one trace scan/indexed, -stream adds streaming; emits BENCH_sim_scale.json into -out)")
 		fmt.Fprintln(os.Stderr, "             soak (chaos soak, baseline vs resilient; emits BENCH_soak.json into -out)")
 		fmt.Fprintln(os.Stderr, "             fanout (burst fan-out vs fan-out off, with and without seed crashes; emits BENCH_fanout.json into -out)")
-		fmt.Fprintln(os.Stderr, "             gateway (multi-gateway scaling + shared-vs-isolated plan cache; emits BENCH_gateway.json into -out)")
 		fmt.Fprintln(os.Stderr, "             recovery also emits BENCH_recovery.json into -out")
 		os.Exit(2)
 	}
@@ -181,13 +180,6 @@ func main() {
 			out, result = r.Render(), r
 		case "fanout":
 			r := experiments.Fanout(o, fo.Config())
-			if err := r.WriteFile(*outDir); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			out, result = r.Render(), r
-		case "gateway":
-			r := experiments.Gateway(o)
 			if err := r.WriteFile(*outDir); err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)

@@ -155,8 +155,8 @@ func main() {
 	// In a multi-gateway deployment the proxy fronts the local handler: it
 	// forwards non-owned invokes to their consistent-hash ring owner and
 	// mirrors registrations, so every process serves an identical catalog
-	// while plan caches warm only on owners (DESIGN.md "Multi-gateway
-	// control plane").
+	// while each function's containers warm only on its owner (DESIGN.md
+	// "Multi-gateway control plane").
 	handler := http.Handler(gw.Handler())
 	if cp.Enabled() {
 		peers, err := cp.PeerSet()

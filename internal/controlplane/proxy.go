@@ -1,3 +1,14 @@
+// Package controlplane scales the Optimus gateway across processes: each
+// gateway process sits behind a Proxy that shares one consistent-hash ring
+// (package ring) with its peers. The ring is seeded and sized identically
+// everywhere, so every proxy agrees on which peer owns a function without
+// any coordination beyond the peer list. An invoke that enters at a peer
+// that does not own its function is forwarded once to the owner, and the
+// X-Optimus-Forwarded header stops it there; a model registration is served
+// locally and mirrored to every peer, so catalogs stay identical. Deletes are
+// not mirrored: DELETE /api/models/{name} removes the model from the entry
+// gateway only, and a caller removing a model everywhere sends it to each
+// member.
 package controlplane
 
 import (
@@ -31,13 +42,12 @@ type Peer struct {
 	URL *url.URL
 }
 
-// Proxy is the HTTP face of the control plane for separate gateway
-// processes: it fronts one gateway's handler, owns a consistent-hash ring
-// over the peer set, forwards non-owned invokes to their ring owner, and
-// mirrors model registrations to every peer so catalogs stay identical.
-// Plan sharing falls out of ownership: because every invoke for a function
-// lands on its owner, that owner's plan cache is the one that warms — peers
-// never plan pairs they do not own.
+// Proxy fronts one gateway's handler: it owns a consistent-hash ring over
+// the peer set, forwards non-owned invokes to their ring owner, and mirrors
+// model registrations to every peer so catalogs stay identical.
+// Every invoke for a function lands on its owner, so only the owner's
+// containers warm for it. Plans are not shared: each member precomputes
+// every pair of its own catalog when models register.
 type Proxy struct {
 	self  string
 	ring  *ring.Ring

@@ -1,53 +1,119 @@
 package controlplane
 
 import (
+	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"sort"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/gateway"
+	"repro/internal/metrics"
+	"repro/internal/model"
+	"repro/internal/ring"
+	"repro/internal/simulate"
+	"repro/internal/zoo"
 )
 
-// TestClusterStress extends the async-pipeline stress pattern across
-// gateways: 4 in-process members under concurrent RegisterModel broadcasts,
-// request forwarding from racing invokers, /api/plan step builds on rotating
-// members, stats readers, and a mid-test Drain of one member. Run under
-// -race. On quiesce:
+// TestProxyStress runs real gateways behind proxies concurrently; run it
+// under -race. Three gateway.New members sit behind NewProxy on their own
+// httptest servers. Invokers enter at every member while registrations
+// arrive through rotating entries, some of them for models not yet
+// registered. On quiesce:
 //
-//   - no lost plans: every ordered catalog pair is in its current ring
-//     owner's cache;
-//   - no duplicate planning: no member computed a pair it holds twice, or
-//     built a pair's steps twice, and the survivors computed no more pairs
-//     than the catalog has — the registration-time ownership filter plus
-//     the drain handoff meant exactly one member ever ran the planner for
-//     each pair;
-//   - every /api/plan answer is the serial plan's.
-func TestClusterStress(t *testing.T) {
-	clock := &fakeClock{}
-	cl := testCluster(t, 4, clock, func(c *Config) { c.PlanWorkers = 4 })
-	models := testModels(t, 8)
+//   - each invoke was recorded only on its function's ring owner, once per
+//     200 the client saw;
+//   - every member holds the same catalog;
+//   - every proxy reports mirror_errors 0 on /api/ring;
+//   - on every member, Planned+Costed == Misses: each pair a lookup missed
+//     was computed exactly once, and no steps were built behind a hit.
+func TestProxyStress(t *testing.T) {
+	const (
+		seed   = 7
+		vnodes = 64
+	)
+	ids := []string{"gw-0", "gw-1", "gw-2"}
+	img := zoo.Imgclsmob()
+	var models []*model.Graph
+	for _, name := range []string{
+		"resnet18-imagenet", "resnet34-imagenet", "vgg11-imagenet",
+		"mobilenet-w1-imagenet", "squeezenet-v1.0-cifar10", "resnet50-imagenet",
+	} {
+		models = append(models, img.MustGet(name))
+	}
+	preset, concurrent := models[:3], models[3:]
 
-	// Seed half the catalog up front so invokers always have targets; the
-	// other half registers concurrently with the load.
-	preset := models[:4]
-	concurrent := models[4:]
-	for _, m := range preset {
-		if err := cl.RegisterModel(m); err != nil {
+	// clock is the members' shared virtual clock; each invoker advances it.
+	var clock atomic.Int64
+	now := func() time.Duration { return time.Duration(clock.Load()) }
+
+	gws := make(map[string]*gateway.Gateway, len(ids))
+	proxies := make(map[string]*Proxy, len(ids))
+	urls := make(map[string]string, len(ids))
+	peers := make([]Peer, 0, len(ids))
+	for i, id := range ids {
+		gws[id] = gateway.New(gateway.Config{
+			Cluster:     simulate.Config{Nodes: 2, ContainersPerNode: 2, Seed: int64(i + 1)},
+			Now:         now,
+			PlanWorkers: 2,
+		})
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			proxies[id].ServeHTTP(w, r)
+		}))
+		t.Cleanup(srv.Close)
+		u, err := url.Parse(srv.URL)
+		if err != nil {
 			t.Fatal(err)
+		}
+		urls[id] = srv.URL
+		peers = append(peers, Peer{ID: id, URL: u})
+	}
+	for _, id := range ids {
+		p, err := NewProxy(id, peers, seed, vnodes, gws[id].Handler())
+		if err != nil {
+			t.Fatal(err)
+		}
+		proxies[id] = p
+	}
+	rg := ring.New(seed, vnodes)
+	for _, id := range ids {
+		rg.Add(id)
+	}
+
+	register := func(entry string, m *model.Graph) (int, error) {
+		raw, err := json.Marshal(m)
+		if err != nil {
+			return 0, err
+		}
+		resp, err := http.Post(urls[entry]+"/api/models", "application/json", bytes.NewReader(raw))
+		if err != nil {
+			return 0, err
+		}
+		resp.Body.Close()
+		return resp.StatusCode, nil
+	}
+	for i, m := range preset {
+		if code, err := register(ids[i%len(ids)], m); err != nil || code != http.StatusCreated {
+			t.Fatalf("registering %s: status %d, %v", m.Name, code, err)
 		}
 	}
 
 	const (
-		workers = 6
-		iters   = 30
+		invokersPerEntry = 2
+		iters            = 30
 	)
-	var wg sync.WaitGroup
-	errs := make(chan error, workers*iters+iters)
+	var (
+		wg     sync.WaitGroup
+		served sync.Map // model name → *atomic.Int64 of 200 responses
+	)
+	errs := make(chan error, len(ids)*invokersPerEntry+2)
 	do := func(f func(i int) error) {
 		wg.Add(1)
 		go func() {
@@ -60,137 +126,138 @@ func TestClusterStress(t *testing.T) {
 			}
 		}()
 	}
-
 	for w := 0; w < 2; w++ {
-		do(func(i int) error { // racing (mostly duplicate) registrations
-			if err := cl.RegisterModel(concurrent[i%len(concurrent)]); err != nil &&
-				!errors.Is(err, gateway.ErrDuplicateModel) {
+		do(func(i int) error { // registrations, many of them duplicates, through rotating entries
+			entry := ids[(w+i)%len(ids)]
+			m := concurrent[(w+i)%len(concurrent)]
+			code, err := register(entry, m)
+			if err != nil {
 				return err
 			}
-			return nil
-		})
-	}
-	for w := 0; w < 3; w++ {
-		entryW := w
-		do(func(i int) error { // invokers entering at rotating members force forwarding
-			entries := cl.Members()
-			entry := entries[(entryW+i)%len(entries)]
-			m := preset[i%len(preset)]
-			_, _, err := cl.Invoke(entry, m.Name, clock.advance(40*time.Second))
-			if err != nil && !errors.Is(err, gateway.ErrUnknownModel) {
-				return fmt.Errorf("invoke %s at %s: %w", m.Name, entry, err)
+			if code != http.StatusCreated && code != http.StatusConflict {
+				return fmt.Errorf("register %s at %s: status %d", m.Name, entry, code)
 			}
 			return nil
 		})
 	}
-	for w := 0; w < 2; w++ {
-		entryW := w
-		do(func(i int) error { // /api/plan builds steps for cost-only pairs
-			entries := cl.Members()
-			gw, ok := cl.Member(entries[(entryW+i)%len(entries)])
-			if !ok {
-				return nil // drained since the listing
-			}
-			src, dst := preset[i%len(preset)], preset[(i+1+entryW)%len(preset)]
-			rec := httptest.NewRecorder()
-			// Serving holds the topology read lock, as Invoke does, so a
-			// pull's ring read cannot race a drain's ring mutation.
-			cl.topo.RLock()
-			gw.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/plan?src="+src.Name+"&dst="+dst.Name, nil))
-			cl.topo.RUnlock()
-			if rec.Code != http.StatusOK {
-				return fmt.Errorf("/api/plan %s→%s: status %d", src.Name, dst.Name, rec.Code)
-			}
-			var got struct {
-				Steps int     `json:"steps"`
-				EstMS float64 `json:"est_ms"`
-			}
-			if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
-				return err
-			}
-			want := gw.Env().Planner.Plan(src, dst)
-			if got.Steps != len(want.Steps) || got.EstMS != float64(want.EstCost)/float64(time.Millisecond) {
-				return fmt.Errorf("/api/plan %s→%s: %+v, serial plan has %d steps at %v", src.Name, dst.Name, got, len(want.Steps), want.EstCost)
-			}
-			return nil
-		})
-	}
-	do(func(int) error { // stats readers race counters and topology
-		st := cl.Stats()
-		if st.RingMembers == 0 {
-			return errors.New("ring emptied mid-test")
+	for e, entry := range ids {
+		for w := 0; w < invokersPerEntry; w++ {
+			k := e*invokersPerEntry + w
+			do(func(i int) error { // invokes at every entry, forwarded to owners
+				m := models[(k+i)%len(models)]
+				clock.Add(int64(40 * time.Second))
+				resp, err := http.Post(urls[entry]+"/api/invoke", "application/json",
+					strings.NewReader(fmt.Sprintf(`{"model":%q}`, m.Name)))
+				if err != nil {
+					return err
+				}
+				resp.Body.Close()
+				switch {
+				case resp.StatusCode == http.StatusOK:
+					n, _ := served.LoadOrStore(m.Name, new(atomic.Int64))
+					n.(*atomic.Int64).Add(1)
+				case resp.StatusCode == http.StatusNotFound && !isPreset(preset, m):
+					// Not yet registered at its owner.
+				default:
+					return fmt.Errorf("invoke %s at %s: status %d", m.Name, entry, resp.StatusCode)
+				}
+				return nil
+			})
 		}
-		return nil
-	})
-
-	// Mid-test drain: let the load build, then take gw-2 out while
-	// registrations, forwards, and pulls are all in flight.
-	drained := make(chan error, 1)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		time.Sleep(5 * time.Millisecond)
-		drained <- cl.Drain("gw-2")
-	}()
-
+	}
 	wg.Wait()
 	close(errs)
 	for err := range errs {
 		t.Error(err)
 	}
-	if err := <-drained; err != nil {
-		t.Fatalf("mid-test drain failed: %v", err)
-	}
-	cl.PlanningQuiesce()
-
-	// Survivors only, and the catalog is complete everywhere that is alive.
-	members := cl.Members()
-	if len(members) != 3 {
-		t.Fatalf("members after drain: %v", members)
+	for _, id := range ids {
+		gws[id].PlanningQuiesce()
 	}
 
-	// No lost plans: each ordered pair sits in its ring owner's cache.
-	for _, src := range models {
-		for _, dst := range models {
-			if src == dst {
-				continue
-			}
-			owner, ok := cl.Owner(pairKey(src.Name, dst.Name))
-			if !ok {
-				t.Fatalf("no owner for pair %s→%s", src.Name, dst.Name)
-			}
-			gw, ok := cl.Member(owner)
-			if !ok {
-				t.Fatalf("owner %s not a member", owner)
-			}
-			if _, ok := gw.Env().Plans.Get(src, dst); !ok {
-				t.Errorf("lost plan: %s→%s missing from owner %s after drain", src.Name, dst.Name, owner)
+	// Owner-only recording: every function's records sit on its ring owner,
+	// one per 200 the clients saw.
+	for _, id := range ids {
+		var perFn map[string]*metrics.Collector
+		gws[id].Online().ReadCollector(func(col *metrics.Collector) { perFn = col.PerFunction() })
+		for fn, col := range perFn {
+			owner, _ := rg.Owner(fn)
+			if owner != id {
+				t.Errorf("%s recorded %d invokes of %s, owned by %s", id, col.Len(), fn, owner)
 			}
 		}
 	}
-
-	// No duplicate planning: survivors' computed pairs plus the pairs that
-	// departed with gw-2 (handed off, not re-planned) must equal the pair
-	// count exactly. Since the drained member's tally is gone, assert the
-	// survivors' computed + remote-pull + handoff copies cover every pair
-	// without any survivor planning a pair twice: computed ≤ pairs and every
-	// pair is present (checked above), so equality of computed+copied is
-	// implied; the sharp check is that no single cache computed more keys
-	// than it holds. A pair is computed on its first miss, by a full plan or
-	// a cost pass (Misses−Remote); steps built later for a cost-only pair
-	// also count as Planned, at most once per key.
-	totalFirst := 0
-	for _, row := range cl.Stats().Members {
-		first := row.Cache.Misses - row.Cache.Remote
-		totalFirst += first
-		if first > row.Cache.Size || row.Cache.Planned > row.Cache.Size {
-			t.Errorf("%s computed %d pairs and built steps %d times but holds %d keys: a pair was planned twice",
-				row.Name, first, row.Cache.Planned, row.Cache.Size)
+	for _, m := range models {
+		owner, _ := rg.Owner(m.Name)
+		var recorded int
+		gws[owner].Online().ReadCollector(func(col *metrics.Collector) {
+			if c := col.PerFunction()[m.Name]; c != nil {
+				recorded = c.Len()
+			}
+		})
+		var ok int64
+		if n, found := served.Load(m.Name); found {
+			ok = n.(*atomic.Int64).Load()
+		}
+		if int64(recorded) != ok {
+			t.Errorf("owner %s recorded %d invokes of %s, clients saw %d served", owner, recorded, m.Name, ok)
 		}
 	}
-	pairs := len(models) * (len(models) - 1)
-	if totalFirst > pairs {
-		t.Errorf("survivors computed %d pairs for a %d-pair catalog: duplicate planning across gateways",
-			totalFirst, pairs)
+
+	// One catalog everywhere: every registration reached every member.
+	var want []string
+	for _, m := range models {
+		want = append(want, m.Name)
+	}
+	sort.Strings(want)
+	for _, id := range ids {
+		var got struct {
+			Models []string `json:"models"`
+		}
+		getJSON(t, urls[id]+"/api/models", &got)
+		if strings.Join(got.Models, ",") != strings.Join(want, ",") {
+			t.Errorf("%s catalog %v, want %v", id, got.Models, want)
+		}
+	}
+
+	forwards := int64(0)
+	for _, id := range ids {
+		forwards += proxies[id].forwards.Load()
+	}
+	if forwards == 0 {
+		t.Error("no invoke was forwarded: every entry owned what it was sent")
+	}
+	for _, id := range ids {
+		var st struct {
+			MirrorErrors int64 `json:"mirror_errors"`
+		}
+		getJSON(t, urls[id]+"/api/ring", &st)
+		if st.MirrorErrors != 0 {
+			t.Errorf("%s reports %d mirror errors", id, st.MirrorErrors)
+		}
+		if ct := gws[id].Env().Plans.Counters(); ct.Planned+ct.Costed != ct.Misses {
+			t.Errorf("%s planned+costed %d for %d misses: a pair was computed twice or steps were built behind a hit",
+				id, ct.Planned+ct.Costed, ct.Misses)
+		}
+	}
+}
+
+func isPreset(preset []*model.Graph, m *model.Graph) bool {
+	for _, p := range preset {
+		if p == m {
+			return true
+		}
+	}
+	return false
+}
+
+func getJSON(t *testing.T, u string, v any) {
+	t.Helper()
+	resp, err := http.Get(u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+		t.Fatalf("GET %s: %v", u, err)
 	}
 }

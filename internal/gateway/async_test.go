@@ -160,9 +160,9 @@ func TestAsyncPlanningStress(t *testing.T) {
 	// pair landed on a distinct key — singleflight collapsed every race
 	// between registrations and inline request-path fallbacks.
 	ct := env.Plans.Counters()
-	if ct.Planned+ct.Costed != ct.Size || ct.Misses-ct.Remote != ct.Size {
-		t.Errorf("planned+costed %d (misses−remote %d) for %d cached keys: duplicate planning slipped past singleflight",
-			ct.Planned+ct.Costed, ct.Misses-ct.Remote, ct.Size)
+	if ct.Planned+ct.Costed != ct.Size || ct.Misses != ct.Size {
+		t.Errorf("planned+costed %d (misses %d) for %d cached keys: duplicate planning slipped past singleflight",
+			ct.Planned+ct.Costed, ct.Misses, ct.Size)
 	}
 	if ct.Evictions != 0 {
 		t.Errorf("unbounded cache evicted %d plans", ct.Evictions)

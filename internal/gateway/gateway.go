@@ -76,12 +76,6 @@ type Config struct {
 	// pairwise transformation plans in the background when models register
 	// (§4.4 Module 3). Zero or negative defaults to GOMAXPROCS.
 	PlanWorkers int
-	// PlanPairFilter, when non-nil, restricts which ordered (src, dst) pairs
-	// this gateway precomputes on registration. The multi-gateway control
-	// plane installs a ring-ownership filter so each member plans only the
-	// pairs it owns; pairs rejected here are still planned on demand (or
-	// pulled from their owner) if a request needs them first.
-	PlanPairFilter func(src, dst *model.Graph) bool
 }
 
 // Gateway is the HTTP control plane.
@@ -94,8 +88,6 @@ type Gateway struct {
 	// pre is the parallel offline-planning pipeline: registrations enqueue
 	// their pairwise plans here and return without planning inline.
 	pre *planner.Precomputer
-
-	pairFilter func(src, dst *model.Graph) bool
 
 	timeout time.Duration
 	// inflight, when non-nil, is the admission semaphore bounding
@@ -136,8 +128,6 @@ func New(cfg Config) *Gateway {
 		timeout:  cfg.RequestTimeout,
 		ckptPath: cfg.CheckpointPath,
 		ckptInj:  faults.New(cfg.Cluster.Seed^0x9e3779b9, faults.Rates{CheckpointWrite: cfg.Cluster.Faults.CheckpointWrite}),
-
-		pairFilter: cfg.PlanPairFilter,
 	}
 	env := g.online.Env()
 	g.pre = planner.NewPrecomputer(env.Planner, env.Plans, cfg.PlanWorkers)
@@ -157,7 +147,7 @@ func New(cfg Config) *Gateway {
 		// catalog in the background — New returns immediately and the
 		// N·(N−1) ordered pairs fan across the worker pool.
 		for i, m := range preloaded {
-			g.enqueuePairs(m, preloaded[:i])
+			g.pre.EnqueueAll(m, preloaded[:i])
 		}
 	}
 	if g.ckptPath != "" {
@@ -265,34 +255,13 @@ func (g *Gateway) RegisterModel(m *model.Graph) error {
 		}
 	}
 	g.online.AddFunction(&simulate.Function{Name: m.Name, Model: m})
-	g.enqueuePairs(m, existing)
+	g.pre.EnqueueAll(m, existing)
 	return nil
 }
 
-// enqueuePairs schedules both plan directions between m and every model in
-// others, honoring the PlanPairFilter when one is installed (the control
-// plane's ring-ownership restriction).
-func (g *Gateway) enqueuePairs(m *model.Graph, others []*model.Graph) {
-	if g.pairFilter == nil {
-		g.pre.EnqueueAll(m, others)
-		return
-	}
-	for _, o := range others {
-		if o == m {
-			continue
-		}
-		if g.pairFilter(o, m) {
-			g.pre.Enqueue(o, m)
-		}
-		if g.pairFilter(m, o) {
-			g.pre.Enqueue(m, o)
-		}
-	}
-}
-
 // Invoke serves one request for the named model at `now` through the same
-// path as POST /api/invoke, minus HTTP. The control plane calls it after ring
-// routing; tests call it to drive load without a listener.
+// path as POST /api/invoke, minus HTTP: tests and benchmarks call it to
+// drive load without a listener.
 func (g *Gateway) Invoke(name string, now time.Duration) (metrics.Record, error) {
 	g.mu.Lock()
 	_, ok := g.models[name]
@@ -303,16 +272,8 @@ func (g *Gateway) Invoke(name string, now time.Duration) (metrics.Record, error)
 	return g.online.Invoke(name, now)
 }
 
-// Model returns a registered model by name.
-func (g *Gateway) Model(name string) (*model.Graph, bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	m, ok := g.models[name]
-	return m, ok
-}
-
-// Env exposes the gateway's policy environment (planner, plan cache): the
-// control plane installs the cross-gateway cache loader through it.
+// Env exposes the gateway's policy environment (planner, plan cache), for
+// tests and stats readers.
 func (g *Gateway) Env() *simulate.Env { return g.online.Env() }
 
 // Online exposes the backing online simulator (stats readers).

@@ -18,10 +18,10 @@ import (
 //
 // The cache is sharded by pair key into a power-of-two number of
 // independently locked shards, so concurrent lookups from parallel planning
-// workers and multi-gateway forwarding never serialize on one mutex (the
-// pre-PR-9 hot path). Each shard keeps its own LRU list and singleflight
-// table; a pair always hashes to the same shard, so per-pair semantics
-// (dedup, eviction, counters) are unchanged.
+// workers and serving goroutines never serialize on one mutex. Each shard
+// keeps its own LRU list and singleflight table; a pair always hashes to the
+// same shard, so per-pair semantics (dedup, eviction, counters) are
+// unchanged.
 //
 // The cache is optionally bounded: NewCacheBounded evicts the least recently
 // used plan once the bound is exceeded. Bounded caches keep a single shard so
@@ -30,12 +30,6 @@ import (
 // for the same (src, dst) pair are deduplicated via singleflight: exactly one
 // caller plans while the rest wait for its result, so a burst of
 // registrations never repeats planning work.
-//
-// A cache may also carry a loader (SetLoader): the multi-gateway control
-// plane installs one so a local miss pulls the pair from its ring owner
-// instead of re-running the planner — the cross-gateway extension of the
-// same singleflight idea. Loader fills are counted as Remote, not Planned
-// or Costed.
 //
 // Every entry holds its pair's Cost. Donor selection needs only that, so an
 // entry can hold a pair before its plan exists: GetOrCost on a miss runs the
@@ -57,11 +51,6 @@ type Cache struct {
 	// vastly outnumber writes, hence the RWMutex.
 	idsMu sync.RWMutex
 	ids   map[*model.Graph]graphID
-
-	// loader, when non-nil, is consulted on a miss before planning locally
-	// (inside the singleflight, so at most one loader call per pair is in
-	// flight). Set once via SetLoader before the cache sees concurrent use.
-	loader func(src, dst *model.Graph) (Costed, bool)
 }
 
 // DefaultShards is the shard count of an unbounded cache: a power of two
@@ -86,9 +75,8 @@ type cacheShard struct {
 	// planned counts step constructions (a full plan, or the steps of a
 	// costed pair); costed counts step-free cost passes; deduped counts
 	// callers that piggybacked on another goroutine's in-flight computation
-	// instead of planning themselves; remote counts pairs pulled through the
-	// loader instead of computed locally.
-	planned, costed, deduped, remote int
+	// instead of planning themselves.
+	planned, costed, deduped int
 	// evictions counts entries dropped by the LRU bound.
 	evictions int
 	// planTimes is the per-pair planning-time telemetry recorded around every
@@ -180,15 +168,6 @@ func NewCacheSharded(limit, shards int) *Cache {
 	return c
 }
 
-// SetLoader installs the remote-fill hook consulted on a local miss before
-// planning (the multi-gateway owner-pull protocol): it returns the pair as
-// another cache holds it, which this cache then holds too (see Put). Call it
-// once, before the cache sees concurrent use; a nil loader restores
-// local-only planning.
-func (c *Cache) SetLoader(loader func(src, dst *model.Graph) (Costed, bool)) {
-	c.loader = loader
-}
-
 // Shards returns the shard count (a power of two).
 func (c *Cache) Shards() int { return len(c.shards) }
 
@@ -245,7 +224,7 @@ func (s *cacheShard) moveToFront(e *lruEntry) {
 // (freshening its LRU position) or else another goroutine's in-flight
 // computation of the pair, and counts either as a hit, the wait also as
 // Deduped. Finding neither counts a miss: the caller computes the pair, so
-// Misses counts exactly the pairs computed or loaded, whatever the timing.
+// Misses counts exactly the pairs computed, whatever the timing.
 func (s *cacheShard) lookup(k cacheKey) (*lruEntry, *flight) {
 	if e, ok := s.m[k]; ok {
 		s.hits++
@@ -297,8 +276,8 @@ func (s *cacheShard) insert(k cacheKey, v lruEntry) *lruEntry {
 }
 
 // Get returns the pair src→dst as this cache holds it, whether or not its
-// steps are built. It is a probe, not a lookup: it never consults the
-// loader, counts no hit or miss and leaves LRU recency alone.
+// steps are built. It is a probe, not a lookup: it counts no hit or miss and
+// leaves LRU recency alone.
 func (c *Cache) Get(src, dst *model.Graph) (Costed, bool) {
 	k := c.keyFor(src, dst)
 	s := c.shardFor(k)
@@ -311,24 +290,10 @@ func (c *Cache) Get(src, dst *model.Graph) (Costed, bool) {
 	return Costed{Cost: e.cost, s: s, e: e}, true
 }
 
-// Put stores pair k, held by this or another cache, as src→dst: its Cost,
-// and its steps if they are built, else the pairing that builds them. The
-// control plane copies pairs between gateways this way; a pairing is
-// immutable, so the copies can share it.
-func (c *Cache) Put(src, dst *model.Graph, k Costed) {
-	v := k.entry()
-	key := c.keyFor(src, dst)
-	s := c.shardFor(key)
-	s.mu.Lock()
-	s.insert(key, v)
-	s.mu.Unlock()
-}
-
 // GetOrPlan returns the pair's plan: the cached one, steps built now for a
-// pair held or pulled through the loader (when one is installed) without
-// them, or a plan computed and cached with pl. Concurrent calls for the same
-// pair resolve it exactly once: the first caller loads or plans, the rest
-// wait for its result (singleflight).
+// pair held without them, or a plan computed and cached with pl. Concurrent
+// calls for the same pair resolve it exactly once: the first caller plans,
+// the rest wait for its result (singleflight).
 func (c *Cache) GetOrPlan(pl *Planner, src, dst *model.Graph) *metaop.Plan {
 	k := c.keyFor(src, dst)
 	s := c.shardFor(k)
@@ -346,10 +311,6 @@ func (c *Cache) GetOrPlan(pl *Planner, src, dst *model.Graph) *metaop.Plan {
 	f = &flight{done: make(chan struct{})}
 	s.flights[k] = f
 	s.mu.Unlock()
-
-	if e := s.load(k, f, c.loader, src, dst); e != nil {
-		return s.steps(e)
-	}
 
 	t0 := time.Now() //optimus:allow wallclock — telemetry: measures real planning cost, never enters simulated time
 	d := pl.pairing(src, dst).draft()
@@ -383,33 +344,12 @@ func (k Costed) Valid() bool { return k.e != nil }
 // costed.
 func (k Costed) Plan() *metaop.Plan { return k.s.steps(k.e) }
 
-// entry copies k's pair for another cache: its cost, and its plan or the
-// pairing that builds it.
-func (k Costed) entry() lruEntry {
-	k.s.mu.Lock()
-	defer k.s.mu.Unlock()
-	return lruEntry{cost: k.Cost, plan: k.e.plan, pairing: k.e.pairing}
-}
-
-// GetOrCost returns the Cost of src→dst: from the cached entry, from the
-// pair pulled through the loader (when one is installed), or from the
+// GetOrCost returns the Cost of src→dst: from the cached entry, or from the
 // planner's step-free cost pass, whose pairing the cache keeps for building
 // the steps later. It touches hit/miss counters and LRU recency exactly as
 // GetOrPlan does. Concurrent calls for the same pair resolve it once
 // (singleflight, shared with GetOrPlan).
 func (c *Cache) GetOrCost(pl *Planner, src, dst *model.Graph) Costed {
-	return c.getOrCost(pl, src, dst, c.loader)
-}
-
-// GetOrCostLocal is GetOrCost without the loader: a miss always runs the
-// cost pass locally. Registration precompute uses it, and so does a ring
-// owner answering a pull, so an owner-side miss never forwards again (pulls
-// are one hop, by construction).
-func (c *Cache) GetOrCostLocal(pl *Planner, src, dst *model.Graph) Costed {
-	return c.getOrCost(pl, src, dst, nil)
-}
-
-func (c *Cache) getOrCost(pl *Planner, src, dst *model.Graph, loader func(src, dst *model.Graph) (Costed, bool)) Costed {
 	k := c.keyFor(src, dst)
 	s := c.shardFor(k)
 	s.mu.Lock()
@@ -427,10 +367,6 @@ func (c *Cache) getOrCost(pl *Planner, src, dst *model.Graph, loader func(src, d
 	f = &flight{done: make(chan struct{})}
 	s.flights[k] = f
 	s.mu.Unlock()
-
-	if e := s.load(k, f, loader, src, dst); e != nil {
-		return s.handle(e)
-	}
 
 	t0 := time.Now() //optimus:allow wallclock — telemetry: measures real planning cost, never enters simulated time
 	pr := pl.pairing(src, dst)
@@ -454,29 +390,6 @@ func (s *cacheShard) handle(e *lruEntry) Costed {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return Costed{Cost: e.cost, s: s, e: e}
-}
-
-// load resolves the in-flight miss f through the loader, if one is
-// installed and holds the pair: it caches the pulled pair, lands the flight
-// and returns the entry. It returns nil when the caller must compute the
-// pair itself.
-func (s *cacheShard) load(k cacheKey, f *flight, loader func(src, dst *model.Graph) (Costed, bool), src, dst *model.Graph) *lruEntry {
-	if loader == nil {
-		return nil
-	}
-	pulled, ok := loader(src, dst)
-	if !ok {
-		return nil
-	}
-	v := pulled.entry()
-	s.mu.Lock()
-	e := s.insert(k, v)
-	f.entry = e
-	delete(s.flights, k)
-	s.remote++
-	s.mu.Unlock()
-	close(f.done)
-	return e
 }
 
 // steps returns e's plan, building it from e's pairing if it has none yet:
@@ -505,31 +418,6 @@ func (s *cacheShard) steps(e *lruEntry) *metaop.Plan {
 	return p
 }
 
-// FlightsQuiesce waits until a moment with no in-flight GetOrPlan or
-// GetOrCost computations: every singleflight started before the call has
-// landed its entry in the cache. The control plane's drain handoff calls it
-// so a draining gateway's cache enumeration misses nothing mid-computation.
-// Callers must fence new work themselves (a drained member receives none).
-func (c *Cache) FlightsQuiesce() {
-	for {
-		var pending []*flight
-		for i := range c.shards {
-			s := &c.shards[i]
-			s.mu.Lock()
-			for _, f := range s.flights {
-				pending = append(pending, f) //optimus:allow maprange — wait-set only: every collected flight is awaited, so order cannot affect state
-			}
-			s.mu.Unlock()
-		}
-		if len(pending) == 0 {
-			return
-		}
-		for _, f := range pending {
-			<-f.done
-		}
-	}
-}
-
 // Stats returns cache hit and miss counts.
 func (c *Cache) Stats() (hits, misses int) {
 	ct := c.Counters()
@@ -542,20 +430,18 @@ type Counters struct {
 	// Hits/Misses count lookups: the read side of GetOrPlan and GetOrCost
 	// (Get is a probe and counts neither). A caller that finds another
 	// goroutine's computation of the pair in flight waits for it and counts
-	// as a hit, so Misses counts the pairs computed or loaded, and neither
-	// count depends on how concurrent callers interleave.
+	// as a hit, so Misses counts the pairs computed, and neither count
+	// depends on how concurrent callers interleave.
 	Hits, Misses int
 	// Planned counts step constructions: plans computed by GetOrPlan on a
 	// miss, and steps built for a cost-only pair (Costed.Plan, or GetOrPlan
 	// on it). Costed counts step-free cost passes run by GetOrCost on a miss.
 	// Deduped counts the hits that waited on another goroutine's in-flight
-	// computation (singleflight), so unlike the rest it depends on timing;
-	// Remote counts pairs pulled through the loader (the cross-gateway
-	// owner-pull path) instead of computed locally. Every miss of GetOrPlan
-	// or GetOrCost is resolved by exactly one of a full plan, a cost pass or
-	// Remote, so Planned+Costed counts the pairs this cache planned first
-	// (Misses−Remote) plus the steps it built later.
-	Planned, Costed, Deduped, Remote int
+	// computation (singleflight), so unlike the rest it depends on timing.
+	// Every miss of GetOrPlan or GetOrCost is resolved by exactly one full
+	// plan or cost pass, so Planned+Costed counts the pairs this cache
+	// planned first (Misses) plus the steps it built later.
+	Planned, Costed, Deduped int
 	// Evictions counts entries dropped by the LRU bound; Size and Limit
 	// describe the current occupancy, cost-only entries included (Limit 0 =
 	// unbounded; a sharded bound is the per-shard limit times the shard
@@ -576,7 +462,6 @@ func (c *Cache) Counters() Counters {
 		out.Planned += s.planned
 		out.Costed += s.costed
 		out.Deduped += s.deduped
-		out.Remote += s.remote
 		out.Evictions += s.evictions
 		out.Size += len(s.m)
 		out.Limit += s.limit

@@ -2,9 +2,7 @@ package planner
 
 import (
 	"fmt"
-	"reflect"
 	"runtime"
-	"sync"
 	"testing"
 
 	"repro/internal/model"
@@ -90,85 +88,5 @@ func TestCacheShardedSemantics(t *testing.T) {
 	}
 	if got := c.PlanTimes().Count; got != len(pairs) {
 		t.Fatalf("PlanTimes.Count=%d, want %d", got, len(pairs))
-	}
-}
-
-// TestCacheLoaderOneHop: a loader-satisfied miss is counted Remote, not
-// Planned or Costed, and carries the owner's Cost and, where the owner built
-// them, its steps; GetOrCostLocal never consults the loader; and the loader
-// fires at most once per pair (singleflight covers the remote pull too).
-func TestCacheLoaderOneHop(t *testing.T) {
-	pl := New(exact(), AlgoGroup)
-	pairs := benchPairs(8)
-
-	// The owner holds every pair cost-only, as precompute leaves it, except
-	// the first, whose steps it has built.
-	owner := NewCache()
-	for _, pr := range pairs {
-		owner.GetOrCostLocal(pl, pr[0], pr[1])
-	}
-	ownerPlan := owner.GetOrPlan(pl, pairs[0][0], pairs[0][1])
-
-	peer := NewCache()
-	var loaderCalls sync.Map
-	peer.SetLoader(func(src, dst *model.Graph) (Costed, bool) {
-		n, _ := loaderCalls.LoadOrStore(src.Name, new(int))
-		*(n.(*int))++
-		return owner.Get(src, dst)
-	})
-
-	var wg sync.WaitGroup
-	got := make([]Costed, 16)
-	for i := range got {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			pr := pairs[i%len(pairs)]
-			got[i] = peer.GetOrCost(pl, pr[0], pr[1])
-		}(i)
-	}
-	wg.Wait()
-	peer.FlightsQuiesce()
-
-	for i, k := range got {
-		pr := pairs[i%len(pairs)]
-		want, _ := owner.Get(pr[0], pr[1])
-		if k.Cost != want.Cost {
-			t.Fatalf("call %d did not receive the owner's cost", i)
-		}
-	}
-	ct := peer.Counters()
-	if ct.Planned != 0 || ct.Costed != 0 {
-		t.Fatalf("peer computed pairs locally despite a loader that always hits: %+v", ct)
-	}
-	if got[0].Plan() != ownerPlan {
-		t.Fatal("a pulled pair did not share the steps its owner had built")
-	}
-	for i, pr := range pairs[1:] {
-		if p := got[i+1].Plan(); !reflect.DeepEqual(p, pl.Plan(pr[0], pr[1])) {
-			t.Fatalf("steps built from pulled pair %d differ from a serial plan", i+1)
-		}
-	}
-	if ct.Remote != len(pairs) {
-		t.Fatalf("peer pulled %d pairs, want %d", ct.Remote, len(pairs))
-	}
-	loaderCalls.Range(func(_, v any) bool {
-		if *(v.(*int)) != 1 {
-			t.Fatalf("loader fired %d times for one pair, want 1 (singleflight)", *(v.(*int)))
-		}
-		return true
-	})
-
-	// GetOrCostLocal must bypass the loader: a fresh peer costs locally.
-	local := NewCache()
-	local.SetLoader(func(src, dst *model.Graph) (Costed, bool) {
-		t.Error("GetOrCostLocal consulted the loader")
-		return Costed{}, false
-	})
-	if !local.GetOrCostLocal(pl, pairs[0][0], pairs[0][1]).Valid() {
-		t.Fatal("GetOrCostLocal returned no pair")
-	}
-	if ct := local.Counters(); ct.Costed != 1 || ct.Remote != 0 {
-		t.Fatalf("local cost pass counted costed=%d remote=%d, want 1/0", ct.Costed, ct.Remote)
 	}
 }

@@ -115,12 +115,8 @@ func (p *Precomputer) drain() {
 		p.mu.Unlock()
 
 		// The cost pass only: serving reads a pair's Cost, and its steps
-		// are built on first demand. Loader-free: registration-time pair
-		// filters decide which pairs a gateway precomputes, so a worker that
-		// reaches here costs locally by design — pulling here could chain
-		// flight-waits between gateways whose precomputers pull from each
-		// other.
-		p.cache.GetOrCostLocal(p.pl, t.src, t.dst)
+		// are built on first demand.
+		p.cache.GetOrCost(p.pl, t.src, t.dst)
 
 		p.mu.Lock()
 		p.outstanding--

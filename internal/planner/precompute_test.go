@@ -191,9 +191,9 @@ func TestPrecomputerCounters(t *testing.T) {
 			st.Enqueued, st.Completed, st.Pending, want, want)
 	}
 	ct := c.Counters()
-	if got := ct.Planned + ct.Costed; got != want || got != ct.Misses-ct.Remote || got != ct.Size {
-		t.Errorf("planned+costed %d (misses−remote %d) into a cache of %d, want %d each (no duplicates)",
-			got, ct.Misses-ct.Remote, ct.Size, want)
+	if got := ct.Planned + ct.Costed; got != want || got != ct.Misses || got != ct.Size {
+		t.Errorf("planned+costed %d (misses %d) into a cache of %d, want %d each (no duplicates)",
+			got, ct.Misses, ct.Size, want)
 	}
 	if ct.Planned != 0 || built(c) != 0 {
 		t.Errorf("precompute built steps: counters %+v", ct)

@@ -1,15 +1,14 @@
 // Package ring is a consistent-hash ring with virtual nodes for the
-// multi-gateway control plane: functions (and transformation-plan pair keys)
-// map to owning gateway members by ring position, so N cooperating gateways
-// partition ownership without any coordination beyond agreeing on the member
-// set, the seed, and the virtual-node count.
+// multi-gateway proxy: functions map to owning gateway members by ring
+// position, so N cooperating gateways partition ownership without any
+// coordination beyond agreeing on the member set, the seed, and the
+// virtual-node count.
 //
 // Everything is deterministic and seedable: hashing is FNV-1a mixed with the
 // seed, ties break on member name, and ownership is a pure function of
 // (seed, vnodes, member set, key) — two rings built in any insertion order
-// from the same inputs answer Owner identically, byte for byte. Membership
-// changes move the minimum of keys: a join steals keys only for the joiner,
-// and a leave reassigns only the leaver's keys.
+// from the same inputs answer Owner identically, byte for byte. A join
+// moves the minimum of keys: it steals keys only for the joiner.
 package ring
 
 import (
@@ -28,7 +27,8 @@ type point struct {
 }
 
 // Ring maps keys to members by consistent hashing. It is not safe for
-// concurrent mutation; callers (the control plane) serialize access.
+// concurrent mutation: callers add every member before sharing the ring,
+// after which Owner is safe to call concurrently.
 type Ring struct {
 	seed   int64
 	vnodes int
@@ -67,22 +67,6 @@ func (r *Ring) VNodes() int { return r.vnodes }
 // Seed returns the ring's hash seed.
 func (r *Ring) Seed() int64 { return r.seed }
 
-// Len returns the member count.
-func (r *Ring) Len() int { return len(r.members) }
-
-// Has reports whether member is on the ring.
-func (r *Ring) Has(member string) bool { return r.members[member] }
-
-// Members returns the member names, sorted.
-func (r *Ring) Members() []string {
-	out := make([]string, 0, len(r.members))
-	for m := range r.members {
-		out = append(out, m)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Add places a member's virtual nodes on the ring. Adding a present member is
 // a no-op, so Add is idempotent.
 func (r *Ring) Add(member string) {
@@ -104,22 +88,6 @@ func (r *Ring) Add(member string) {
 	})
 }
 
-// Remove takes a member's virtual nodes off the ring; its keys fall to the
-// next points clockwise. Removing an absent member is a no-op.
-func (r *Ring) Remove(member string) {
-	if !r.members[member] {
-		return
-	}
-	delete(r.members, member)
-	kept := r.points[:0]
-	for _, p := range r.points {
-		if p.member != member {
-			kept = append(kept, p)
-		}
-	}
-	r.points = kept
-}
-
 // Owner returns the member owning key: the first virtual node clockwise from
 // the key's hash. ok is false on an empty ring.
 func (r *Ring) Owner(key string) (member string, ok bool) {
@@ -132,16 +100,4 @@ func (r *Ring) Owner(key string) (member string, ok bool) {
 		i = 0 // wrap past the top of the ring
 	}
 	return r.points[i].member, true
-}
-
-// Counts tallies how many of keys each member owns — the balance view the
-// control plane reports and the property tests bound.
-func (r *Ring) Counts(keys []string) map[string]int {
-	out := make(map[string]int, len(r.members))
-	for _, k := range keys {
-		if m, ok := r.Owner(k); ok {
-			out[m]++
-		}
-	}
-	return out
 }

@@ -5,8 +5,7 @@ import (
 	"testing"
 )
 
-// testKeys builds K deterministic keys shaped like the control plane's
-// function names and plan pair keys.
+// testKeys builds K deterministic keys shaped like function names.
 func testKeys(k int) []string {
 	keys := make([]string, k)
 	for i := range keys {
@@ -23,6 +22,18 @@ func owners(r *Ring, keys []string) map[string]string {
 			panic("owner on empty ring")
 		}
 		out[k] = m
+	}
+	return out
+}
+
+// counts tallies how many of keys each member owns: the balance view the
+// property tests bound.
+func counts(r *Ring, keys []string) map[string]int {
+	out := make(map[string]int)
+	for _, k := range keys {
+		if m, ok := r.Owner(k); ok {
+			out[m]++
+		}
 	}
 	return out
 }
@@ -123,79 +134,18 @@ func TestJoinMovesBoundedKeysOnlyToJoiner(t *testing.T) {
 	}
 }
 
-// TestLeaveMovesOnlyLeaversKeys: removing a member must change ownership for
-// exactly the keys it owned — every other key keeps its owner (the minimal
-// key-movement guarantee the drain handoff relies on).
-func TestLeaveMovesOnlyLeaversKeys(t *testing.T) {
-	keys := testKeys(10000)
-	for _, vnodes := range []int{64, 128, 256} {
-		t.Run(fmt.Sprintf("vnodes=%d", vnodes), func(t *testing.T) {
-			r := New(5, vnodes)
-			for i := 0; i < 5; i++ {
-				r.Add(fmt.Sprintf("gw-%d", i))
-			}
-			before := owners(r, keys)
-			const leaver = "gw-2"
-			ownedByLeaver := 0
-			for _, key := range keys {
-				if before[key] == leaver {
-					ownedByLeaver++
-				}
-			}
-			r.Remove(leaver)
-			after := owners(r, keys)
-			moved := 0
-			for _, key := range keys {
-				if before[key] != after[key] {
-					moved++
-					if before[key] != leaver {
-						t.Fatalf("key %s moved %s→%s though %s left",
-							key, before[key], after[key], leaver)
-					}
-				}
-				if after[key] == leaver {
-					t.Fatalf("key %s still owned by removed member", key)
-				}
-			}
-			if moved != ownedByLeaver {
-				t.Errorf("leave moved %d keys, the leaver owned %d", moved, ownedByLeaver)
-			}
-		})
-	}
-}
-
-// TestJoinThenLeaveRestoresOwnership: removing the member just added must
-// restore the exact prior ownership map (ownership is a pure function of the
-// member set, not of membership history).
-func TestJoinThenLeaveRestoresOwnership(t *testing.T) {
-	keys := testKeys(3000)
-	r := New(9, 128)
-	for i := 0; i < 4; i++ {
-		r.Add(fmt.Sprintf("gw-%d", i))
-	}
-	before := owners(r, keys)
-	r.Add("gw-extra")
-	r.Remove("gw-extra")
-	after := owners(r, keys)
-	for _, k := range keys {
-		if before[k] != after[k] {
-			t.Fatalf("key %s: owner %s before join/leave, %s after", k, before[k], after[k])
-		}
-	}
-}
-
 // TestBalanceWithinTolerance: at DefaultVNodes, an 8-member ring spreads 10k
-// keys so no member owns more than twice the fair share (the balance level
-// the gateway bench's makespan scaling depends on).
+// keys so no member owns more than twice the fair share, so no proxy
+// member serves far more functions than its peers.
 func TestBalanceWithinTolerance(t *testing.T) {
 	keys := testKeys(10000)
 	r := New(1, 0) // 0 → DefaultVNodes
 	for i := 0; i < 8; i++ {
 		r.Add(fmt.Sprintf("gw-%d", i))
 	}
-	counts := r.Counts(keys)
+	owned := counts(r, keys)
 	fair := len(keys) / 8
-	for m, c := range counts {
+	for m, c := range owned {
 		if c > 2*fair {
 			t.Errorf("member %s owns %d of %d keys (fair share %d)", m, c, len(keys), fair)
 		}
@@ -205,8 +155,8 @@ func TestBalanceWithinTolerance(t *testing.T) {
 	}
 }
 
-// TestEmptyAndIdempotent: Owner on an empty ring reports !ok; double Add and
-// double Remove are no-ops.
+// TestEmptyAndIdempotent: Owner on an empty ring reports !ok, and a double
+// Add is a no-op.
 func TestEmptyAndIdempotent(t *testing.T) {
 	r := New(1, 8)
 	if _, ok := r.Owner("x"); ok {
@@ -216,11 +166,5 @@ func TestEmptyAndIdempotent(t *testing.T) {
 	r.Add("a")
 	if got := len(r.points); got != 8 {
 		t.Errorf("double Add left %d points, want 8", got)
-	}
-	r.Remove("b") // absent
-	r.Remove("a")
-	r.Remove("a")
-	if r.Len() != 0 || len(r.points) != 0 {
-		t.Errorf("ring not empty after removals: %d members, %d points", r.Len(), len(r.points))
 	}
 }
